@@ -212,8 +212,7 @@ def _cmd_g2(args) -> int:
         print(f"g2={est.value:.6g} err={est.std_err:.6g} mean={mean:.6g}")
     if args.json:
         doc = {"g2": est.value, "err": est.std_err, "mean": mean}
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1)
+        io.atomic_write_text(args.json, json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -6,7 +6,9 @@ optional Poisson admixture of dark avalanches, a binomial crosstalk stage
 in which every avalanche can trigger at most one spurious neighbor, and a
 hard clamp at the saturation level n_max. The response matrix Q(N|k) built
 here is column-stochastic by construction; the saturation row is the
-completeness complement of all rows below it.
+completeness complement of all rows below it. Because crosstalk only ever
+adds counts, rows N >= n_max are never built: an avalanche number at or
+above n_max can only end in the saturation row, so it is never evaluated.
 """
 from __future__ import annotations
 
@@ -125,29 +127,28 @@ def _dark_pmf(dark_mean: float) -> np.ndarray:
 def _response_matrix(
     eta: float, p: float, n_max: int, k_max: int, dark_mean: float
 ) -> np.ndarray:
-    """Column-stochastic Q(N|k), N = 0..n_max, k = 0..k_max."""
-    ks = np.arange(k_max + 1)
-    ns = np.arange(k_max + 1)
-    qe = stats.binom.pmf(ns[:, None], ks[None, :], eta)
+    """Column-stochastic Q(N|k), N = 0..n_max, k = 0..k_max.
 
+    Only the rows N < n_max are built. Crosstalk never lowers a count, so
+    these rows need only the avalanche numbers a < n_max, and a avalanches
+    reach at most 2a counts. Every other outcome lands in the saturation
+    row, the complement of the rows below it. The cost is O(n_max^2 k_max)
+    time and O(n_max k_max) memory.
+    """
     dark = _dark_pmf(dark_mean)
-    if dark.size > 1:
-        rows = k_max + dark.size
-        avalanches = np.zeros((rows, k_max + 1))
-        for d, w in enumerate(dark):
-            avalanches[d : d + k_max + 1, :] += w * qe
-    else:
-        avalanches = qe
+    a_rows = min(n_max, k_max + dark.size)
+    a_all = np.arange(a_rows)
+    qe = stats.binom.pmf(a_all[:, None], np.arange(k_max + 1)[None, :], eta)
+    avalanches = np.zeros_like(qe)
+    for d, w in enumerate(dark[:a_rows]):
+        avalanches[d:, :] += w * qe[: a_rows - d, :]
 
-    a_max = avalanches.shape[0] - 1
-    n_all = np.arange(a_max + 1)
-    big_n = np.arange(2 * a_max + 1)
-    xt = stats.binom.pmf(big_n[:, None] - n_all[None, :], n_all[None, :], p)
-    unsat = xt @ avalanches
+    n_rows = min(n_max, 2 * a_rows - 1)
+    big_n = np.arange(n_rows)
+    xt = stats.binom.pmf(big_n[:, None] - a_all[None, :], a_all[None, :], p)
 
     q = np.zeros((n_max + 1, k_max + 1))
-    ncopy = min(n_max, unsat.shape[0])
-    q[:ncopy, :] = unsat[:ncopy, :]
+    q[:n_rows, :] = xt @ avalanches
     q[n_max, :] = np.maximum(1.0 - q[:n_max, :].sum(axis=0), 0.0)
     return q
 
@@ -215,7 +216,7 @@ def joint_photocount(
     """
     k_max = max(pair_dist.k_max, 1)
     q_s = channel_matrix(params_s, k_max)
-    q_i = channel_matrix(params_i, k_max)
+    q_i = q_s if params_i == params_s else channel_matrix(params_i, k_max)
     joint = (q_s * pair_dist.probs[None, :]) @ q_i.T
     return JointPhotocountDistribution(joint)
 

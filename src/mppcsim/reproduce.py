@@ -232,6 +232,5 @@ def reproduce_figure(figure: str, out_dir, seed: int = 0, pulses: int = 200_000)
     }[figure]
     lines = runner(out_dir, seed, pulses)
     text = _report(lines)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(text)
+    io.atomic_write_text(os.path.join(out_dir, "report.txt"), text)
     return text

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from mppcsim import (
     DetectorParams,
@@ -24,6 +27,7 @@ from mppcsim import (
     pmf_fock,
     pmf_thermal,
 )
+from mppcsim.detector import _dark_pmf
 
 
 def enumerate_crosstalk(n, p):
@@ -193,6 +197,48 @@ def test_dark_counts_match_compound_oracle():
 def test_dark_free_channel_equals_povm():
     params = DetectorParams(eta=0.6, p_xt=0.15, n_max=6, dark_mean=0.0)
     assert np.array_equal(channel_matrix(params, 12), build_povm(params, 12).q)
+
+
+def full_grid_response(eta, p, n_max, k_max, dark_mean):
+    """Oracle: every avalanche row and all 2a+1 crosstalk rows, then the clamp."""
+    ks = np.arange(k_max + 1)
+    qe = stats.binom.pmf(ks[:, None], ks[None, :], eta)
+    dark = _dark_pmf(dark_mean)
+    avalanches = np.zeros((k_max + dark.size, k_max + 1))
+    for d, w in enumerate(dark):
+        avalanches[d : d + k_max + 1, :] += w * qe
+    a_all = np.arange(avalanches.shape[0])
+    big_n = np.arange(2 * a_all[-1] + 1)
+    xt = stats.binom.pmf(big_n[:, None] - a_all[None, :], a_all[None, :], p)
+    unsat = xt @ avalanches
+    q = np.zeros((n_max + 1, k_max + 1))
+    rows = min(n_max, unsat.shape[0])
+    q[:rows, :] = unsat[:rows, :]
+    q[n_max, :] = np.maximum(1.0 - q[:n_max, :].sum(axis=0), 0.0)
+    return q
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    eta=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 0.95),
+    n_max=st.integers(1, 400),
+    k_max=st.integers(1, 600),
+    dark_mean=st.sampled_from([0.0, 0.1, 5.0]),
+)
+@example(eta=0.6, p=0.3, n_max=400, k_max=3, dark_mean=5.0)  # n_max > 2(k_max + dark rows)
+@example(eta=0.6, p=0.3, n_max=20, k_max=3, dark_mean=0.0)
+@example(eta=0.6, p=0.3, n_max=1, k_max=50, dark_mean=0.1)
+@example(eta=0.0, p=0.5, n_max=7, k_max=30, dark_mean=0.1)
+@example(eta=1.0, p=0.5, n_max=7, k_max=30, dark_mean=0.0)
+@example(eta=1.0, p=0.0, n_max=40, k_max=30, dark_mean=5.0)
+def test_channel_matrix_matches_full_grid(eta, p, n_max, k_max, dark_mean):
+    params = DetectorParams(eta, p, n_max, dark_mean, pixel_count=n_max)
+    q = channel_matrix(params, k_max)
+    ref = full_grid_response(eta, p, n_max, k_max, dark_mean)
+    assert q.shape == ref.shape
+    assert np.max(np.abs(q - ref)) <= 1e-13
+    assert np.all(np.abs(q.sum(axis=0) - 1.0) <= 1e-12)
 
 
 def test_joint_photocount_fixtures():

@@ -197,6 +197,47 @@ def test_cli_g2_fixture(tmp_path, capsys):
     assert doc["g2"] == pytest.approx(0.5)
 
 
+def _spy_atomic_writes(monkeypatch):
+    written = []
+    real = mio.atomic_write_text
+
+    def spy(path, text):
+        written.append(os.fspath(path))
+        real(path, text)
+
+    monkeypatch.setattr(mio, "atomic_write_text", spy)
+    return written
+
+
+def test_cli_g2_json_written_atomically(tmp_path, monkeypatch, capsys):
+    hist = tmp_path / "h.json"
+    mio.write_histogram(hist, CountHistogram(100, np.array([0, 0, 100])))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "g2.json"
+    written = _spy_atomic_writes(monkeypatch)
+    assert main(["g2", str(hist), "--json", str(target)]) == 0
+    printed = capsys.readouterr().out
+    assert written == [str(target)]
+    assert [p.name for p in out_dir.iterdir()] == ["g2.json"]
+    doc = json.loads(target.read_text())
+    assert set(doc) == {"g2", "err", "mean"}
+    assert f"g2={doc['g2']:.6g} err={doc['err']:.6g} mean={doc['mean']:.6g}" in printed
+
+
+def test_reproduce_report_written_atomically(tmp_path, monkeypatch):
+    from mppcsim import reproduce
+
+    lines = ["figure 3a", "CHECK stub PASS: canned"]
+    monkeypatch.setattr(reproduce, "_figure_3a", lambda out_dir, seed, pulses: lines)
+    written = _spy_atomic_writes(monkeypatch)
+    text = reproduce.reproduce_figure("3a", tmp_path / "r")
+    report = tmp_path / "r" / "report.txt"
+    assert written == [str(report)]
+    assert [p.name for p in (tmp_path / "r").iterdir()] == ["report.txt"]
+    assert report.read_text() == text == "\n".join(lines) + "\n"
+
+
 def test_cli_g2_small_fixture(tmp_path, capsys):
     path = tmp_path / "h.json"
     mio.write_histogram(path, CountHistogram(10, np.array([2, 4, 3, 1])))
