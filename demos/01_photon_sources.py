@@ -8,7 +8,6 @@ the two-photon excess that survives any amount of optical loss.
 import numpy as np
 
 from mppcsim import (
-    moments_of_dist,
     pmf_coherent,
     pmf_even_poisson,
     pmf_fock,
@@ -47,5 +46,5 @@ for eta in (1.0, 0.5, 0.1):
 
 print()
 print("moment table for thermal(1): <n>, <n^2>, <n^3>, <n^4>")
-vals = [moments_of_dist(pmf_thermal(1.0), order) for order in (1, 2, 3, 4)]
+vals = [pmf_thermal(1.0).moment(order) for order in (1, 2, 3, 4)]
 print("  " + "  ".join(f"{v:.4f}" for v in vals))

@@ -10,7 +10,6 @@ from mppcsim import (
     DetectorParams,
     apply_channel,
     build_povm,
-    photocount_moment,
     pmf_coherent,
     pmf_fock,
 )
@@ -32,8 +31,8 @@ print()
 print("saturation: coherent light of growing mean into a 4-count ceiling")
 for mean in (0.5, 2.0, 5.0, 12.0):
     dist = pmf_coherent(mean)
-    m1 = photocount_moment(dist, params, 1)
-    m2 = photocount_moment(dist, params, 2)
+    counts = apply_channel(dist, params)
+    m1, m2 = counts.moment(1), counts.moment(2)
     print(
         f"  mean photons {mean:5.1f}: counts/pulse {m1:6.3f}, "
         f"variance {m2 - m1**2:6.3f}"

@@ -15,7 +15,6 @@ from .calibration import (
     fit_crosstalk,
 )
 from .crosstalk import (
-    G2ModelCoefficients,
     coefficient_a,
     coefficient_b,
     expected_coincidences,
@@ -39,7 +38,6 @@ from .detector import (
     nrf_analytic,
     nrf_limit_coherent,
     nrf_limit_sv,
-    photocount_moment,
 )
 from .errors import (
     BoundaryFitWarning,
@@ -68,7 +66,6 @@ from .montecarlo import (
 from .sources import (
     PhotonNumberDistribution,
     SourceSpec,
-    moments_of_dist,
     pmf_coherent,
     pmf_even_poisson,
     pmf_fock,

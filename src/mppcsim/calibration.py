@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosstalk import P_CAP, coefficient_a, coefficient_b
+from .crosstalk import P_CAP, P_WARN, coefficient_a, coefficient_b
 from .detector import DetectorParams
 from .errors import (
     BoundaryFitWarning,
@@ -49,7 +49,7 @@ class CalibrationResult:
 
     def __post_init__(self):
         if not 0.0 <= self.p_hat <= P_CAP:
-            raise ValueError("p_hat must lie in [0, 0.6]")
+            raise ValueError(f"p_hat must lie in [0, {float(P_CAP)}]")
         if self.p_err < 0:
             raise ValueError("p_err must be non-negative")
         if self.cod is not None and self.cod > 1.0 + 1e-12:
@@ -99,7 +99,7 @@ def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
         return float(w @ (r * r))
 
     # coarse scan brackets the minimum; golden section refines it
-    grid = np.linspace(0.0, P_CAP, 61)
+    grid = np.linspace(0.0, float(P_CAP), 61)
     vals = np.array([chi2(p) for p in grid])
     i0 = int(np.argmin(vals))
     lo = grid[max(i0 - 1, 0)]
@@ -117,7 +117,7 @@ def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
             BoundaryFitWarning,
             stacklevel=2,
         )
-    if p_hat > 0.3:
+    if p_hat > P_WARN:
         warnings.warn(
             f"fitted p = {p_hat:.3g} strains the second-order crosstalk model",
             CrosstalkRangeWarning,
@@ -164,10 +164,10 @@ def dark_noise_crosstalk(dark: CountHistogram) -> CalibrationResult:
     e1 = t * lam * math.exp(-lam)
 
     raw = 1.0 - n1 / e1
-    p_dc = min(max(raw, 0.0), P_CAP)
+    p_dc = min(max(raw, 0.0), float(P_CAP))
     if raw < -1e-12 or raw > P_CAP + 1e-12:
         warnings.warn(
-            f"dark-noise estimate {raw:.3g} clamped into [0, 0.6]",
+            f"dark-noise estimate {raw:.3g} clamped into [0, {float(P_CAP)}]",
             BoundaryFitWarning,
             stacklevel=2,
         )

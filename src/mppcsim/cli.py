@@ -191,10 +191,7 @@ def _cmd_simulate(args) -> int:
     joint = runner(config, events_path=args.events)
     io.write_joint_histogram(args.out, joint)
     if not args.quiet:
-        n_s = np.arange(joint.counts.shape[0])
-        n_i = np.arange(joint.counts.shape[1])
-        mean_s = float(n_s @ joint.counts.sum(axis=1)) / joint.trials
-        mean_i = float(n_i @ joint.counts.sum(axis=0)) / joint.trials
+        mean_s, mean_i = joint.mean_counts
         print(
             f"mean_counts_per_pulse_s={mean_s:.6g} "
             f"mean_counts_per_pulse_i={mean_i:.6g}"
@@ -251,11 +248,7 @@ def _cmd_nrf(args) -> int:
     for path in args.inputs:
         joint = io.read_joint_histogram(path)
         est = nrf_from_joint(joint)
-        n_s = np.arange(joint.counts.shape[0])
-        n_i = np.arange(joint.counts.shape[1])
-        mean_s = float(n_s @ joint.counts.sum(axis=1)) / joint.trials
-        mean_i = float(n_i @ joint.counts.sum(axis=0)) / joint.trials
-        x = 0.5 * (mean_s + mean_i)
+        x = 0.5 * sum(joint.mean_counts)
         if args.eta is not None and args.xt is not None:
             x /= (1.0 + args.xt) * args.eta  # photocounts -> photons
         rows.append((x, est.value, est.std_err))
@@ -272,7 +265,7 @@ def _cmd_nrf(args) -> int:
 
 def _cmd_povm(args) -> int:
     params = DetectorParams(eta=args.eta, p_xt=args.xt, n_max=args.nmax,
-                            pixel_count=max(args.nmax, 400))
+                            pixel_count=args.nmax)
     povm = build_povm(params, args.kmax)
     io.write_povm_csv(args.out, povm)
     if not args.quiet:

@@ -14,7 +14,6 @@ or ``Fraction`` to keep decimal inputs exact end to end.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +21,10 @@ import numpy as np
 from .errors import CrosstalkRangeWarning
 from .histograms import CountHistogram
 
-P_CAP = 0.6
-P_WARN = 0.3
+# validity range of p, exact so that decimal strings such as "0.6" compare
+# as written; Fraction(0.6), the binary float, lies below Fraction("0.6")
+P_CAP = Fraction(6, 10)
+P_WARN = Fraction(3, 10)
 
 
 def _as_fraction(p) -> Fraction:
@@ -35,9 +36,11 @@ def _as_fraction(p) -> Fraction:
 
 
 def _check_p(p: Fraction, context: str, warn: bool = True) -> None:
-    if p < 0 or p > Fraction(6, 10):
-        raise ValueError(f"{context}: p must lie in [0, 0.6], got {float(p)}")
-    if warn and p > Fraction(3, 10):
+    if p < 0 or p > P_CAP:
+        raise ValueError(
+            f"{context}: p must lie in [0, {float(P_CAP)}], got {float(p)}"
+        )
+    if warn and p > P_WARN:
         warnings.warn(
             f"{context}: p = {float(p):.3g} strains the second-order model "
             "(neglected third-order terms approach the kept ones)",
@@ -107,35 +110,16 @@ def expected_total_counts(hist: CountHistogram, p) -> float:
 
 def coefficient_a(p: float) -> float:
     """Multiplicative distortion of g2: (1+2p+4p^2)/(1+p+2p^2)^2."""
-    if not 0.0 <= p <= P_CAP:
-        raise ValueError("p must lie in [0, 0.6]")
+    if not 0.0 <= p <= float(P_CAP):
+        raise ValueError(f"p must lie in [0, {float(P_CAP)}]")
     return (1.0 + 2.0 * p + 4.0 * p**2) / (1.0 + p + 2.0 * p**2) ** 2
 
 
 def coefficient_b(p: float) -> float:
     """Additive distortion of g2 per inverse count rate: 2p(1+3p)/(1+p+2p^2)."""
-    if not 0.0 <= p <= P_CAP:
-        raise ValueError("p must lie in [0, 0.6]")
+    if not 0.0 <= p <= float(P_CAP):
+        raise ValueError(f"p must lie in [0, {float(P_CAP)}]")
     return 2.0 * p * (1.0 + 3.0 * p) / (1.0 + p + 2.0 * p**2)
-
-
-@dataclass(frozen=True)
-class G2ModelCoefficients:
-    """Coefficient pair (A, B) of the measured-g2 law for one crosstalk level."""
-
-    a_coef: float
-    b_coef: float
-    p: float
-
-    def __post_init__(self):
-        if abs(self.a_coef - coefficient_a(self.p)) > 1e-12:
-            raise ValueError("a_coef inconsistent with p")
-        if abs(self.b_coef - coefficient_b(self.p)) > 1e-12:
-            raise ValueError("b_coef inconsistent with p")
-
-    @classmethod
-    def from_p(cls, p: float) -> "G2ModelCoefficients":
-        return cls(coefficient_a(p), coefficient_b(p), p)
 
 
 def measured_g2(p: float, g0: float, n_total_per_pulse: float) -> float:

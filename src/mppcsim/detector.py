@@ -80,7 +80,6 @@ class JointPhotocountDistribution:
     """Joint probability table over (N_signal, N_idler) photocounts."""
 
     probs: np.ndarray
-    trials_free: bool = True
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -193,15 +192,6 @@ def apply_channel(
         out = np.concatenate([out, [0.0]])
     mean = float(np.arange(out.size) @ out)
     return PhotonNumberDistribution(out, max(0.0, 1.0 - float(out.sum())), mean)
-
-
-def photocount_moment(
-    dist: PhotonNumberDistribution, params: DetectorParams, order: int
-) -> float:
-    """Raw photocount moment <N^order> of the channel output, order 1 or 2."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    return apply_channel(dist, params).moment(order)
 
 
 def joint_photocount(

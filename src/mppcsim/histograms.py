@@ -77,6 +77,15 @@ class JointCountHistogram:
             raise ValueError("joint counts must sum to trials")
         object.__setattr__(self, "counts", counts)
 
+    @property
+    def mean_counts(self) -> tuple[float, float]:
+        """Mean photocounts per pulse of the signal and idler arms."""
+        n_s = np.arange(self.counts.shape[0])
+        n_i = np.arange(self.counts.shape[1])
+        mean_s = float(n_s @ self.counts.sum(axis=1)) / self.trials
+        mean_i = float(n_i @ self.counts.sum(axis=0)) / self.trials
+        return mean_s, mean_i
+
 
 @dataclass(frozen=True)
 class SweepSeries:

@@ -4,6 +4,7 @@ matrices are exported with 12 significant digits. All writes are atomic
 (temp file plus rename)."""
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -24,18 +25,30 @@ class SchemaError(ValueError):
     """The file does not match the declared schema."""
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text via a temp file in the target directory plus rename."""
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """Open a text file for writing that appears at ``path`` only on success.
+
+    Writes go to a temp file in the target directory, which replaces
+    ``path`` when the block exits normally and is removed on any exception,
+    leaving an existing file at ``path`` untouched.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text via a temp file in the target directory plus rename."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _jsonable_meta(meta: dict) -> dict:

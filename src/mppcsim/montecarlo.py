@@ -11,11 +11,19 @@ trigger at most one neighbor, which is exactly the analytic response
 matrix of :mod:`mppcsim.detector`. ``cascade`` lets every triggered
 neighbor trigger further neighbors until extinction (geometric
 branching), which reproduces the higher-order events the histogram-level
-algebra of :mod:`mppcsim.crosstalk` keeps to second order.
+algebra of :mod:`mppcsim.crosstalk` keeps to second order. Under
+geometric branching n avalanches register as n + NegBin(n, 1 - p)
+counts, so the cascade is one negative-binomial draw per pulse, equal in
+law to following the branching generation by generation.
+
+One chunk loop serves one arm and two; the optional per-pulse event
+stream is written atomically (temp file plus rename), so an interrupted
+run leaves no partial file.
 """
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +31,7 @@ import numpy as np
 from .detector import DetectorParams
 from .estimators import g2_from_histogram, mean_counts_per_pulse
 from .histograms import CountHistogram, JointCountHistogram, SweepSeries
+from .io import atomic_open
 from .sources import SourceSpec
 
 CHUNK = 1 << 16
@@ -121,34 +130,18 @@ def _arm_channel(
         if mode == "binomial":
             n = n + rng.binomial(n, det.p_xt)
         else:
-            total = n.copy()
-            gen = n
-            while gen.any():
-                gen = rng.binomial(gen, det.p_xt)
-                total += gen
-            n = total
+            # numpy's negative_binomial rejects n = 0
+            pos = n > 0
+            n[pos] += rng.negative_binomial(n[pos], 1.0 - det.p_xt)
     return np.minimum(n, det.n_max)
 
 
-class _EventWriter:
-    def __init__(self, path):
-        self.fh = open(path, "w", newline="")
-        self.writer = csv.writer(self.fh)
-        self.writer.writerow(["pulse", "counts_s", "counts_i"])
-
-    def write(self, start, counts_s, counts_i=None):
-        pulses = range(start, start + counts_s.size)
-        if counts_i is None:
-            self.writer.writerows(
-                (p, int(c), "") for p, c in zip(pulses, counts_s)
-            )
-        else:
-            self.writer.writerows(
-                (p, int(a), int(b)) for p, a, b in zip(pulses, counts_s, counts_i)
-            )
-
-    def close(self):
-        self.fh.close()
+def _write_events(fh, start: int, recs) -> None:
+    """Append one chunk of event rows, byte-identical to ``csv.writer``
+    output (CRLF line ends, empty ``counts_i`` for one arm)."""
+    row = "{},{},\r\n" if len(recs) == 1 else "{},{},{}\r\n"
+    pulses = range(start, start + recs[0].size)
+    fh.write("".join(map(row.format, pulses, *(r.tolist() for r in recs))))
 
 
 def _run_meta(config: SimulationConfig) -> dict:
@@ -177,52 +170,48 @@ def _run_meta(config: SimulationConfig) -> dict:
     return meta
 
 
+def _simulate(config: SimulationConfig, arms: int, shared: bool, events_path):
+    """Run every chunk through the signal arm and, for ``arms == 2``, the
+    idler arm (fed the same photons when ``shared``); return the count
+    table, a vector for one arm and an (N_s, N_i) matrix for two."""
+    dets = (config.detector_s, config.detector_i)[:arms]
+    shape = tuple(d.n_max + 1 for d in dets)
+    mode, seed = config.crosstalk_mode, config.seed
+    cdf = _source_cdf(config.source)
+    counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    with atomic_open(events_path, newline="") if events_path else nullcontext() as fh:
+        if fh is not None:
+            fh.write("pulse,counts_s,counts_i\r\n")
+        for chunk, start, size in _chunks(config.trials):
+            photons_s = _draw_photons(cdf, _rng(seed, _STAGE_SOURCE_S, chunk), size)
+            if arms == 2 and not shared:
+                photons_i = _draw_photons(cdf, _rng(seed, _STAGE_SOURCE_I, chunk), size)
+            else:
+                photons_i = photons_s
+            recs = [_arm_channel(photons_s, dets[0], mode, seed, chunk, "s")]
+            flat = recs[0]
+            if arms == 2:
+                recs.append(_arm_channel(photons_i, dets[1], mode, seed, chunk, "i"))
+                flat = recs[0] * shape[1] + recs[1]
+            counts += np.bincount(flat, minlength=counts.size)
+            if fh is not None:
+                _write_events(fh, start, recs)
+    return counts.reshape(shape)
+
+
 def simulate_single(config: SimulationConfig, events_path=None) -> CountHistogram:
     """Simulate one detector; returns the photocount histogram (bin 0 included)."""
     if config.source.is_twin:
         raise ValueError("twin sources describe two arms; use simulate_twin")
-    det = config.detector_s
-    cdf = _source_cdf(config.source)
-    counts = np.zeros(det.n_max + 1, dtype=np.int64)
-    writer = _EventWriter(events_path) if events_path else None
-    for chunk, start, size in _chunks(config.trials):
-        photons = _draw_photons(cdf, _rng(config.seed, _STAGE_SOURCE_S, chunk), size)
-        rec = _arm_channel(photons, det, config.crosstalk_mode, config.seed, chunk, "s")
-        counts += np.bincount(rec, minlength=det.n_max + 1)
-        if writer:
-            writer.write(start, rec)
-    if writer:
-        writer.close()
+    counts = _simulate(config, 1, False, events_path)
     return CountHistogram(config.trials, counts, _run_meta(config))
 
 
 def _simulate_two_arms(config: SimulationConfig, shared: bool, events_path):
     if config.detector_i is None:
         raise ValueError("two-arm simulation requires detector_i")
-    det_s, det_i = config.detector_s, config.detector_i
-    cdf = _source_cdf(config.source)
-    joint = np.zeros((det_s.n_max + 1, det_i.n_max + 1), dtype=np.int64)
-    writer = _EventWriter(events_path) if events_path else None
-    for chunk, start, size in _chunks(config.trials):
-        photons_s = _draw_photons(cdf, _rng(config.seed, _STAGE_SOURCE_S, chunk), size)
-        if shared:
-            photons_i = photons_s
-        else:
-            photons_i = _draw_photons(
-                cdf, _rng(config.seed, _STAGE_SOURCE_I, chunk), size
-            )
-        rec_s = _arm_channel(
-            photons_s, det_s, config.crosstalk_mode, config.seed, chunk, "s"
-        )
-        rec_i = _arm_channel(
-            photons_i, det_i, config.crosstalk_mode, config.seed, chunk, "i"
-        )
-        np.add.at(joint, (rec_s, rec_i), 1)
-        if writer:
-            writer.write(start, rec_s, rec_i)
-    if writer:
-        writer.close()
-    return JointCountHistogram(config.trials, joint, _run_meta(config))
+    counts = _simulate(config, 2, shared, events_path)
+    return JointCountHistogram(config.trials, counts, _run_meta(config))
 
 
 def simulate_twin(config: SimulationConfig, events_path=None) -> JointCountHistogram:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -127,33 +128,36 @@ def _figure_5(out_dir, seed, pulses):
     return lines
 
 
-def _nrf_curves(seed, pulses, stem):
-    p, eta, nmax = 0.28, 0.163, 3
-    det = DetectorParams(eta=eta, p_xt=p, n_max=nmax)
+def _nrf_curves(seed, pulses, twin_spec, stride, offset, estimator):
+    """Estimator versus mean photons for twin-beam arms fed by ``twin_spec``
+    ("sv") and independent coherent arms ("coherent") at p=0.28,
+    eta=0.163, n_max=3. Point idx runs on seed + stride*idx, plus
+    ``offset`` on the coherent curve."""
+    det = DetectorParams(eta=0.163, p_xt=0.28, n_max=3)
     grid = np.geomspace(0.1, 6.0, 8)
     rows = {}
-    for tag, kind, simulate in (
-        ("sv", "twin_thermal", simulate_twin),
-        ("coherent", "coherent", simulate_independent),
+    for tag, spec, simulate, shift in (
+        ("sv", twin_spec, simulate_twin, 0),
+        ("coherent", SourceSpec("coherent", mean=1.0), simulate_independent, offset),
     ):
         pts = []
         for idx, mean in enumerate(grid):
             cfg = SimulationConfig(
-                source=SourceSpec(kind, mean=float(mean)),
+                source=replace(spec, mean=float(mean)),
                 detector_s=det,
                 detector_i=det,
                 trials=pulses,
-                seed=seed + 101 * idx + (0 if tag == "sv" else 7),
+                seed=seed + stride * idx + shift,
             )
-            joint = simulate(cfg)
-            est = nrf_from_joint(joint) if stem == "nrf" else g2_cross_from_joint(joint)
+            est = estimator(simulate(cfg))
             pts.append((float(mean), est.value, max(est.std_err, 1e-12)))
         rows[tag] = np.asarray(pts)
     return grid, rows
 
 
 def _figure_8a(out_dir, seed, pulses):
-    grid, rows = _nrf_curves(seed, pulses, "nrf")
+    twin = SourceSpec("twin_thermal", mean=1.0)
+    grid, rows = _nrf_curves(seed, pulses, twin, 101, 7, nrf_from_joint)
     lines = ["scenario 8a: NRF vs mean photons, p=0.28 eta=0.163 n_max=3"]
     for tag, pts in rows.items():
         path = os.path.join(out_dir, f"fig8a_{tag}.csv")
@@ -175,27 +179,9 @@ def _figure_8a(out_dir, seed, pulses):
 
 
 def _figure_8b(out_dir, seed, pulses):
-    p, eta, nmax = 0.28, 0.163, 3
-    det = DetectorParams(eta=eta, p_xt=p, n_max=nmax)
-    grid = np.geomspace(0.1, 6.0, 8)
     modes = 1.0 / 0.808  # one detected Schmidt-mode fraction
-    curves = {}
-    for tag, spec, simulate in (
-        ("sv", SourceSpec("twin_multimode", mean=1.0, modes=modes), simulate_twin),
-        ("coherent", SourceSpec("coherent", mean=1.0), simulate_independent),
-    ):
-        pts = []
-        for idx, mean in enumerate(grid):
-            cfg = SimulationConfig(
-                source=SourceSpec(spec.kind, mean=float(mean), modes=spec.modes),
-                detector_s=det,
-                detector_i=det,
-                trials=pulses,
-                seed=seed + 211 * idx + (0 if tag == "sv" else 13),
-            )
-            est = g2_cross_from_joint(simulate(cfg))
-            pts.append((float(mean), est.value, max(est.std_err, 1e-12)))
-        curves[tag] = np.asarray(pts)
+    twin = SourceSpec("twin_multimode", mean=1.0, modes=modes)
+    grid, curves = _nrf_curves(seed, pulses, twin, 211, 13, g2_cross_from_joint)
 
     lines = ["scenario 8b: two-detector g2 vs mean photons, p=0.28 eta=0.163 n_max=3"]
     for tag, pts in curves.items():

@@ -213,10 +213,3 @@ def true_g2_of_dist(dist: PhotonNumberDistribution) -> float:
         raise UndefinedStatisticError("g2 undefined for zero-mean distribution")
     fac2 = float(np.sum(k * (k - 1) * dist.probs))
     return fac2 / m1**2
-
-
-def moments_of_dist(dist: PhotonNumberDistribution, order: int) -> float:
-    """Raw moment sum(k^order * P(k)) for order 1..4."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be in 1..4")
-    return dist.moment(order)

@@ -19,6 +19,7 @@ from mppcsim import (
     DetectorParams,
     SimulationConfig,
     SourceSpec,
+    apply_channel,
     build_povm,
     coefficient_a,
     coefficient_b,
@@ -36,7 +37,6 @@ from mppcsim import (
     nrf_from_joint,
     nrf_limit_coherent,
     nrf_limit_sv,
-    photocount_moment,
     pmf_coherent,
     pmf_thermal,
     simulate_independent,
@@ -137,12 +137,11 @@ def test_criterion_05_monte_carlo_matches_analytic_channel():
     sample_var = float(((n - sample_mean) ** 2) @ hist.counts) / (trials - 1)
 
     dist = pmf_coherent(3.0)
-    m1 = photocount_moment(dist, params, 1)
-    m2 = photocount_moment(dist, params, 2)
+    channel_out = apply_channel(dist, params)
+    m1 = channel_out.moment(1)
+    m2 = channel_out.moment(2)
     var = m2 - m1**2
-    from mppcsim import apply_channel
-
-    out = apply_channel(dist, params).probs
+    out = channel_out.probs
     mu4 = float(((np.arange(out.size) - m1) ** 4) @ out)
     se_mean = math.sqrt(var / trials)
     se_var = math.sqrt(max(mu4 - var**2, 0.0) / trials)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ from mppcsim import (
     CountHistogram,
     CrosstalkRangeWarning,
     DetectorParams,
-    G2ModelCoefficients,
     apply_channel,
     coefficient_a,
     coefficient_b,
@@ -95,6 +95,17 @@ def test_p_validation_and_warning():
         transform_histogram(hist, 0.4)
 
 
+def test_p_range_boundaries_are_exact():
+    counts = [0, 10]
+    with pytest.warns(CrosstalkRangeWarning):
+        assert sum(transform_counts_exact(counts, "0.6")) == 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CrosstalkRangeWarning)
+        transform_counts_exact(counts, "0.3")
+    with pytest.raises(ValueError):
+        transform_counts_exact(counts, "0.6000001")
+
+
 def test_coefficients_against_oracle():
     for p in (0.05, 0.1, 0.177, 0.3):
         a_ref, b_ref = coeffs_oracle(p)
@@ -117,10 +128,7 @@ def test_coefficient_bounds():
 
 
 def test_model_coefficient_container():
-    c = G2ModelCoefficients.from_p(0.177)
-    assert c.a_coef == pytest.approx(0.96263, abs=1e-5)
-    with pytest.raises(ValueError):
-        G2ModelCoefficients(1.0, 0.5, 0.177)
+    assert coefficient_a(0.177) == pytest.approx(0.96263, abs=1e-5)
 
 
 def test_measured_g2_values():

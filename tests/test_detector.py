@@ -22,7 +22,6 @@ from mppcsim import (
     nrf_analytic,
     nrf_limit_coherent,
     nrf_limit_sv,
-    photocount_moment,
     pmf_coherent,
     pmf_fock,
     pmf_thermal,
@@ -149,31 +148,29 @@ def test_apply_channel_mean_matches_moment_operator():
     params = DetectorParams(eta=0.5, p_xt=0.1, n_max=10)
     out = apply_channel(dist, params)
     mean = float(np.arange(out.probs.size) @ out.probs)
-    assert mean == pytest.approx(photocount_moment(dist, params, 1), abs=1e-10)
+    assert mean == pytest.approx(apply_channel(dist, params).moment(1), abs=1e-10)
 
 
 def test_small_intensity_gain_is_eta_times_one_plus_p():
     lam = 1e-4
     params = DetectorParams(eta=0.4, p_xt=0.15, n_max=50)
-    mean = photocount_moment(pmf_coherent(lam), params, 1)
+    mean = apply_channel(pmf_coherent(lam), params).moment(1)
     assert mean / lam == pytest.approx(0.4 * 1.15, abs=1e-9)
 
 
 def test_photocount_moments_fock_fixtures():
     ideal = DetectorParams(eta=1.0, p_xt=0.0, n_max=3)
-    assert photocount_moment(pmf_fock(1), ideal, 1) == pytest.approx(1.0)
-    assert photocount_moment(pmf_fock(1), ideal, 2) == pytest.approx(1.0)
+    assert apply_channel(pmf_fock(1), ideal).moment(1) == pytest.approx(1.0)
+    assert apply_channel(pmf_fock(1), ideal).moment(2) == pytest.approx(1.0)
     lossy = DetectorParams(eta=0.5, p_xt=0.2, n_max=3)
-    assert photocount_moment(pmf_fock(1), lossy, 1) == pytest.approx(0.6, abs=1e-12)
-    assert photocount_moment(pmf_fock(1), lossy, 2) == pytest.approx(0.8, abs=1e-12)
-    with pytest.raises(ValueError):
-        photocount_moment(pmf_fock(1), ideal, 3)
+    assert apply_channel(pmf_fock(1), lossy).moment(1) == pytest.approx(0.6, abs=1e-12)
+    assert apply_channel(pmf_fock(1), lossy).moment(2) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_saturation_monotone_in_n_max():
     dist = pmf_coherent(4.0)
     means = [
-        photocount_moment(dist, DetectorParams(eta=0.8, p_xt=0.1, n_max=n), 1)
+        apply_channel(dist, DetectorParams(eta=0.8, p_xt=0.1, n_max=n)).moment(1)
         for n in (20, 8, 4, 2, 1)
     ]
     assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))

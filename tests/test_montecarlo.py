@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from mppcsim import (
     DetectorParams,
+    apply_channel,
     SimulationConfig,
     SourceSpec,
     build_povm,
     g2_cross_from_joint,
     mean_counts_per_pulse,
     nrf_from_joint,
-    photocount_moment,
     pmf_coherent,
     simulate_independent,
     simulate_single,
@@ -17,7 +20,8 @@ from mppcsim import (
     sweep,
 )
 from mppcsim.histograms import SweepSeries
-from mppcsim.montecarlo import CHUNK
+from mppcsim import montecarlo
+from mppcsim.montecarlo import CHUNK, read_events
 
 
 def single_cfg(**kw):
@@ -100,8 +104,8 @@ def test_mean_against_moment_operator():
     )
     hist = simulate_single(cfg)
     mean = mean_counts_per_pulse(hist)
-    truth = photocount_moment(dist, params, 1)
-    m2 = photocount_moment(dist, params, 2)
+    truth = apply_channel(dist, params).moment(1)
+    m2 = apply_channel(dist, params).moment(2)
     se = np.sqrt((m2 - truth**2) / cfg.trials)
     assert abs(mean - truth) < 4 * se
 
@@ -141,6 +145,43 @@ def test_cascade_exceeds_binomial_by_p_squared():
     )
     diff = mean_c - mean_b
     assert 0.5 * p**2 <= diff <= 2 * p**2
+
+
+@pytest.mark.parametrize("fock_n", [1, 3])
+def test_cascade_matches_negative_binomial_law(fock_n):
+    # geometric branching: n avalanches register as n + NegBin(n, 1 - p)
+    p, n_max = 0.2, 40
+    cfg = single_cfg(
+        source=SourceSpec("fock", fock_n=fock_n),
+        detector_s=DetectorParams(eta=1.0, p_xt=p, n_max=n_max),
+        trials=200_000,
+        crosstalk_mode="cascade",
+    )
+    counts = simulate_single(cfg).counts
+    law = stats.nbinom.pmf(np.arange(n_max + 1) - fock_n, fock_n, 1.0 - p)
+    law[-1] += stats.nbinom.sf(n_max - fock_n, fock_n, 1.0 - p)
+    assert counts[:fock_n].sum() == 0
+    expected = cfg.trials * law
+    # pool the tail into the last bin expecting at least 5 events
+    top = int(np.nonzero(expected >= 5)[0].max())
+    obs = counts[fock_n : top + 1].copy()
+    exp = expected[fock_n : top + 1].copy()
+    obs[-1] += counts[top + 1 :].sum()
+    exp[-1] += expected[top + 1 :].sum()
+    assert stats.chisquare(obs, exp).pvalue > 1e-6
+
+
+@pytest.mark.parametrize("mode", ["binomial", "cascade"])
+def test_signal_arm_ignores_the_idler_arm(mode):
+    det_i = DetectorParams(eta=0.3, p_xt=0.2, n_max=4, dark_mean=0.1)
+    cfg = single_cfg(
+        detector_s=DetectorParams(eta=0.5, p_xt=0.1, n_max=10, dark_mean=0.05),
+        trials=2 * CHUNK + 5,
+        crosstalk_mode=mode,
+    )
+    single = simulate_single(cfg).counts
+    joint = simulate_independent(replace(cfg, detector_i=det_i)).counts
+    assert np.array_equal(single, joint.sum(axis=1))
 
 
 def test_twin_requires_twin_source():
@@ -243,8 +284,6 @@ def test_sweep_grid_validation():
 
 
 def test_event_stream_csv(tmp_path):
-    from mppcsim.montecarlo import read_events
-
     path = tmp_path / "events.csv"
     cfg = single_cfg(trials=500)
     hist = simulate_single(cfg, events_path=str(path))
@@ -262,8 +301,6 @@ def test_event_stream_csv(tmp_path):
 
 
 def test_event_stream_twin(tmp_path):
-    from mppcsim.montecarlo import read_events
-
     path = tmp_path / "events.csv"
     cfg = SimulationConfig(
         source=SourceSpec("twin_thermal", mean=0.8),
@@ -279,6 +316,42 @@ def test_event_stream_twin(tmp_path):
     for e in events:
         rebuilt[e.counts_s, e.counts_i] += 1
     assert np.array_equal(rebuilt, joint.counts)
+
+
+def test_event_stream_crosses_chunk_boundary(tmp_path):
+    path = tmp_path / "events.csv"
+    cfg = single_cfg(trials=CHUNK + 17)
+    hist = simulate_single(cfg, events_path=str(path))
+    assert path.read_bytes().startswith(b"pulse,counts_s,counts_i\r\n0,")
+    events = read_events(path)
+    assert [e.pulse_index for e in events] == list(range(cfg.trials))
+    recorded = [e.counts_s for e in events]
+    assert np.array_equal(
+        np.bincount(recorded, minlength=hist.counts.size), hist.counts
+    )
+
+
+@pytest.mark.parametrize("existing", [None, "old events\n"])
+def test_interrupted_run_leaves_no_event_file(tmp_path, monkeypatch, existing):
+    real = montecarlo._arm_channel
+
+    def fail_on_second_chunk(photons, det, mode, seed, chunk, arm):
+        if chunk == 1:
+            raise RuntimeError("interrupted")
+        return real(photons, det, mode, seed, chunk, arm)
+
+    monkeypatch.setattr(montecarlo, "_arm_channel", fail_on_second_chunk)
+    path = tmp_path / "events.csv"
+    if existing is not None:
+        path.write_text(existing)
+    with pytest.raises(RuntimeError):
+        simulate_single(single_cfg(trials=CHUNK + 1), events_path=str(path))
+    names = [p.name for p in tmp_path.iterdir()]
+    if existing is None:
+        assert names == []
+    else:
+        assert names == ["events.csv"]
+        assert path.read_text() == existing
 
 
 def test_meta_carries_run_parameters():

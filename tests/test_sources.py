@@ -7,7 +7,6 @@ from mppcsim import (
     PhotonNumberDistribution,
     SourceSpec,
     UndefinedStatisticError,
-    moments_of_dist,
     pmf_coherent,
     pmf_even_poisson,
     pmf_fock,
@@ -83,7 +82,7 @@ def test_thermal_g2_is_two():
 
 def test_thermal_second_moment():
     # <n^2> = 2<n>^2 + <n> for the geometric weight
-    assert moments_of_dist(pmf_thermal(1.0), 2) == pytest.approx(3.0, abs=1e-9)
+    assert pmf_thermal(1.0).moment(2) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_twin_multimode_reduces_to_thermal():
@@ -117,18 +116,13 @@ def test_fock_values():
     assert pmf_fock(0).probs[0] == 1.0
     assert true_g2_of_dist(pmf_fock(2)) == pytest.approx(0.5, abs=1e-15)
     assert true_g2_of_dist(pmf_fock(1)) == 0.0
-    assert moments_of_dist(pmf_fock(3), 2) == 9.0
-    assert moments_of_dist(pmf_coherent(2.0), 1) == pytest.approx(2.0, abs=1e-10)
+    assert pmf_fock(3).moment(2) == 9.0
+    assert pmf_coherent(2.0).moment(1) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_g2_undefined_for_vacuum():
     with pytest.raises(UndefinedStatisticError):
         true_g2_of_dist(pmf_fock(0))
-
-
-def test_moment_order_validated():
-    with pytest.raises(ValueError):
-        moments_of_dist(pmf_coherent(1.0), 5)
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0, 5.0])
