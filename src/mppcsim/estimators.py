@@ -65,58 +65,60 @@ def mean_counts_per_pulse(hist: CountHistogram) -> float:
     return hist.total_counts / hist.trials
 
 
-def _bootstrap(joint: JointCountHistogram, stat, n_boot: int, seed) -> np.ndarray:
-    t = joint.trials
+def _bootstrap(joint: JointCountHistogram, stat, n_boot: int, seed, undefined: str):
+    """Point value and multinomial-bootstrap error of ``stat``.
+
+    ``stat(tables, trials)`` takes a stack of count tables of shape
+    (n, N_s, N_i) and returns each table's value and whether it is defined;
+    undefined replicates are dropped.
+    """
+    value, defined = stat(joint.counts[None], joint.trials)
+    if not defined[0]:
+        raise UndefinedStatisticError(undefined)
     flat = joint.counts.ravel()
     p = flat / flat.sum()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = rng.multinomial(t, p, size=n_boot).astype(float)
-    vals = []
-    for row in draws:
-        try:
-            vals.append(stat(row.reshape(joint.counts.shape)))
-        except UndefinedStatisticError:
-            continue
-    return np.asarray(vals)
+    draws = rng.multinomial(joint.trials, p, size=n_boot).astype(float)
+    reps, defined = stat(draws.reshape(n_boot, *joint.counts.shape), joint.trials)
+    reps = reps[defined]
+    err = float(reps.std(ddof=1)) if reps.size > 1 else 0.0
+    return EstimateWithError(float(value[0]), err, "bootstrap")
 
 
-def _cross_g2_value(counts: np.ndarray, trials: int) -> float:
-    n_s = np.arange(counts.shape[0], dtype=float)
-    n_i = np.arange(counts.shape[1], dtype=float)
-    mean_s = float(n_s @ counts.sum(axis=1)) / trials
-    mean_i = float(n_i @ counts.sum(axis=0)) / trials
-    if mean_s <= 0 or mean_i <= 0:
-        raise UndefinedStatisticError("cross g2 undefined: zero marginal mean")
-    mean_si = float(n_s @ counts @ n_i) / trials
-    return mean_si / (mean_s * mean_i)
+def _cross_g2(tables: np.ndarray, trials: int):
+    n_s = np.arange(tables.shape[1], dtype=float)
+    n_i = np.arange(tables.shape[2], dtype=float)
+    mean_s = tables.sum(axis=2) @ n_s / trials
+    mean_i = tables.sum(axis=1) @ n_i / trials
+    defined = (mean_s > 0) & (mean_i > 0)
+    mean_si = n_s @ tables @ n_i / trials
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mean_si / (mean_s * mean_i), defined
 
 
 def g2_cross_from_joint(
     joint: JointCountHistogram, n_boot: int = N_BOOTSTRAP, seed: int | None = None
 ) -> EstimateWithError:
     """Two-detector correlation <N_s N_i>/(<N_s><N_i>) with bootstrap error."""
-    value = _cross_g2_value(joint.counts, joint.trials)
     if seed is None:
         seed = _seed_from_meta(joint.meta)
-    reps = _bootstrap(
-        joint, lambda c: _cross_g2_value(c, joint.trials), n_boot, seed
+    return _bootstrap(
+        joint, _cross_g2, n_boot, seed, "cross g2 undefined: zero marginal mean"
     )
-    err = float(reps.std(ddof=1)) if reps.size > 1 else 0.0
-    return EstimateWithError(value, err, "bootstrap")
 
 
-def _nrf_value(counts: np.ndarray, trials: int) -> float:
-    n_s = np.arange(counts.shape[0], dtype=float)
-    n_i = np.arange(counts.shape[1], dtype=float)
+def _nrf(tables: np.ndarray, trials: int):
+    n_s = np.arange(tables.shape[1], dtype=float)
+    n_i = np.arange(tables.shape[2], dtype=float)
     diff = n_s[:, None] - n_i[None, :]
     tot = n_s[:, None] + n_i[None, :]
-    mean_sum = float((tot * counts).sum()) / trials
-    if mean_sum <= 0:
-        raise UndefinedStatisticError("NRF undefined: zero total counts")
-    mean_diff = float((diff * counts).sum()) / trials
-    ss = float((diff**2 * counts).sum())
+    mean_sum = (tot * tables).sum(axis=(1, 2)) / trials
+    defined = mean_sum > 0
+    mean_diff = (diff * tables).sum(axis=(1, 2)) / trials
+    ss = (diff**2 * tables).sum(axis=(1, 2))
     var = (ss - trials * mean_diff**2) / (trials - 1)
-    return var / mean_sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return var / mean_sum, defined
 
 
 def nrf_from_joint(
@@ -128,12 +130,9 @@ def nrf_from_joint(
     """
     if joint.trials < 2:
         raise UndefinedStatisticError("NRF needs at least 2 trials")
-    value = _nrf_value(joint.counts, joint.trials)
     if seed is None:
         seed = _seed_from_meta(joint.meta)
-    reps = _bootstrap(joint, lambda c: _nrf_value(c, joint.trials), n_boot, seed)
-    err = float(reps.std(ddof=1)) if reps.size > 1 else 0.0
-    return EstimateWithError(value, err, "bootstrap")
+    return _bootstrap(joint, _nrf, n_boot, seed, "NRF undefined: zero total counts")
 
 
 def subtract_dark(signal: CountHistogram, dark: CountHistogram) -> CountHistogram:

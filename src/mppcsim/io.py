@@ -7,7 +7,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -31,10 +30,12 @@ def atomic_open(path, newline=None):
 
     Writes go to a temp file in the target directory, which replaces
     ``path`` when the block exits normally and is removed on any exception,
-    leaving an existing file at ``path`` untouched.
+    leaving an existing file at ``path`` untouched. The file is created
+    with mode 0666 less the umask, like a plain ``open``.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline=newline) as fh:
             yield fh

@@ -4,7 +4,10 @@ counts, crosstalk and saturation, for one detector or two correlated arms.
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, stage, chunk-of-pulses) with a fixed chunk size, so results are
 bit-identical no matter how the chunks are executed or merged; histogram
-merging across chunks is a plain sum.
+merging across chunks is a plain sum. Chunks therefore run concurrently
+on a thread pool sized to the CPUs the process may use (numpy's sampling
+loops release the interpreter lock), and the output is bit-identical for
+any worker count.
 
 Two crosstalk samplers are available. ``binomial`` lets every avalanche
 trigger at most one neighbor, which is exactly the analytic response
@@ -16,13 +19,18 @@ geometric branching n avalanches register as n + NegBin(n, 1 - p)
 counts, so the cascade is one negative-binomial draw per pulse, equal in
 law to following the branching generation by generation.
 
-One chunk loop serves one arm and two; the optional per-pulse event
-stream is written atomically (temp file plus rename), so an interrupted
-run leaves no partial file.
+One chunk loop serves one arm and two. The main thread merges the
+chunks' counts and writes the optional per-pulse event stream strictly in
+chunk order; the stream is written atomically (temp file plus rename), so
+an interrupted run leaves no partial file.
 """
 from __future__ import annotations
 
 import csv
+import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -37,6 +45,13 @@ from .sources import SourceSpec
 CHUNK = 1 << 16
 
 CROSSTALK_MODES = ("binomial", "cascade")
+
+# chunk-pool threads: the CPUs this process may run on
+_WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 # stage tags for the keyed RNG streams
 _STAGE_SOURCE_S = 0
@@ -107,7 +122,9 @@ def _source_cdf(spec: SourceSpec) -> np.ndarray:
 
 
 def _draw_photons(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
+    return np.searchsorted(cdf, rng.random(size), side="right").astype(
+        np.int64, copy=False
+    )
 
 
 def _arm_channel(
@@ -122,18 +139,18 @@ def _arm_channel(
     if det.eta < 1.0:
         n = _rng(seed, stage_qe, chunk).binomial(photons, det.eta)
     else:
-        n = photons.copy()
+        n = photons.copy()  # twin arms share ``photons``
     if det.dark_mean > 0:
-        n = n + _rng(seed, stage_dark, chunk).poisson(det.dark_mean, n.size)
+        n += _rng(seed, stage_dark, chunk).poisson(det.dark_mean, n.size)
     if det.p_xt > 0:
         rng = _rng(seed, stage_xt, chunk)
         if mode == "binomial":
-            n = n + rng.binomial(n, det.p_xt)
+            n += rng.binomial(n, det.p_xt)
         else:
             # numpy's negative_binomial rejects n = 0
             pos = n > 0
             n[pos] += rng.negative_binomial(n[pos], 1.0 - det.p_xt)
-    return np.minimum(n, det.n_max)
+    return np.minimum(n, det.n_max, out=n)
 
 
 def _write_events(fh, start: int, recs) -> None:
@@ -170,32 +187,59 @@ def _run_meta(config: SimulationConfig) -> dict:
     return meta
 
 
+def _run_chunk(config, dets, shared, cdf, chunk, size, keep_events):
+    """Draw one chunk of pulses and pass it through the signal arm and,
+    for two ``dets``, the idler arm (fed the same photons when ``shared``).
+
+    Returns the chunk's flattened count table and, if ``keep_events``, the
+    recorded counts of each arm.
+    """
+    mode, seed = config.crosstalk_mode, config.seed
+    shape = [d.n_max + 1 for d in dets]
+    photons = _draw_photons(cdf, _rng(seed, _STAGE_SOURCE_S, chunk), size)
+    recs = [_arm_channel(photons, dets[0], mode, seed, chunk, "s")]
+    flat = recs[0]
+    if len(dets) == 2:
+        if not shared:
+            # keyed streams leave the draw order free; drawing the idler's
+            # photons only now keeps one photon array alive per chunk
+            photons = _draw_photons(cdf, _rng(seed, _STAGE_SOURCE_I, chunk), size)
+        recs.append(_arm_channel(photons, dets[1], mode, seed, chunk, "i"))
+        flat = recs[0] * shape[1] + recs[1]
+    return np.bincount(flat, minlength=math.prod(shape)), recs if keep_events else None
+
+
 def _simulate(config: SimulationConfig, arms: int, shared: bool, events_path):
-    """Run every chunk through the signal arm and, for ``arms == 2``, the
-    idler arm (fed the same photons when ``shared``); return the count
-    table, a vector for one arm and an (N_s, N_i) matrix for two."""
+    """Run every chunk through one arm or, for ``arms == 2``, both; return
+    the count table, a vector for one arm and an (N_s, N_i) matrix for two.
+
+    Chunks run on ``_WORKERS`` threads, with at most ``_WORKERS + 1``
+    started and not yet merged; the merge adds counts and writes event rows
+    in chunk order.
+    """
     dets = (config.detector_s, config.detector_i)[:arms]
     shape = tuple(d.n_max + 1 for d in dets)
-    mode, seed = config.crosstalk_mode, config.seed
     cdf = _source_cdf(config.source)
     counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
-    with atomic_open(events_path, newline="") if events_path else nullcontext() as fh:
-        if fh is not None:
-            fh.write("pulse,counts_s,counts_i\r\n")
-        for chunk, start, size in _chunks(config.trials):
-            photons_s = _draw_photons(cdf, _rng(seed, _STAGE_SOURCE_S, chunk), size)
-            if arms == 2 and not shared:
-                photons_i = _draw_photons(cdf, _rng(seed, _STAGE_SOURCE_I, chunk), size)
-            else:
-                photons_i = photons_s
-            recs = [_arm_channel(photons_s, dets[0], mode, seed, chunk, "s")]
-            flat = recs[0]
-            if arms == 2:
-                recs.append(_arm_channel(photons_i, dets[1], mode, seed, chunk, "i"))
-                flat = recs[0] * shape[1] + recs[1]
-            counts += np.bincount(flat, minlength=counts.size)
+    pending = deque()
+    pool = ThreadPoolExecutor(_WORKERS)
+    try:
+        with atomic_open(events_path, newline="") if events_path else nullcontext() as fh:
             if fh is not None:
-                _write_events(fh, start, recs)
+                fh.write("pulse,counts_s,counts_i\r\n")
+            for chunk, start, size in _chunks(config.trials):
+                job = (config, dets, shared, cdf, chunk, size, fh is not None)
+                pending.append((start, pool.submit(_run_chunk, *job)))
+                last = start + size == config.trials
+                while pending and (last or len(pending) > _WORKERS):
+                    done_start, future = pending.popleft()
+                    chunk_counts, recs = future.result()
+                    counts += chunk_counts
+                    if fh is not None:
+                        _write_events(fh, done_start, recs)
+    finally:
+        # after an exception, drop the chunks no thread has started
+        pool.shutdown(cancel_futures=True)
     return counts.reshape(shape)
 
 

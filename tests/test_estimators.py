@@ -172,6 +172,57 @@ def test_bootstrap_errors_are_seed_deterministic():
     assert nrf_from_joint(jh, seed=101).std_err > 0
 
 
+def _loop_bootstrap(joint, stat, n_boot, seed):
+    """Reference: one replicate at a time, skipping undefined ones."""
+    flat = joint.counts.ravel()
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    draws = rng.multinomial(joint.trials, flat / flat.sum(), size=n_boot)
+    vals = [stat(row.reshape(joint.counts.shape), joint.trials) for row in draws]
+    return np.array([v for v in vals if v is not None])
+
+
+def _loop_cross_g2(counts, trials):
+    n_s, n_i = np.arange(counts.shape[0]), np.arange(counts.shape[1])
+    mean_s = n_s @ counts.sum(axis=1) / trials
+    mean_i = n_i @ counts.sum(axis=0) / trials
+    if mean_s <= 0 or mean_i <= 0:
+        return None
+    return (n_s @ counts @ n_i / trials) / (mean_s * mean_i)
+
+
+def _loop_nrf(counts, trials):
+    n_s, n_i = np.arange(counts.shape[0]), np.arange(counts.shape[1])
+    diff = n_s[:, None] - n_i[None, :]
+    mean_sum = ((n_s[:, None] + n_i[None, :]) * counts).sum() / trials
+    if mean_sum <= 0:
+        return None
+    mean_diff = (diff * counts).sum() / trials
+    var = ((diff**2 * counts).sum() - trials * mean_diff**2) / (trials - 1)
+    return var / mean_sum
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.random.default_rng(3).integers(0, 40, size=(6, 5)),
+        # sparse: many replicates draw no counts in one arm or in both
+        np.array([[57, 1, 0], [1, 1, 0]]),
+    ],
+)
+@pytest.mark.parametrize(
+    "estimator, stat",
+    [(nrf_from_joint, _loop_nrf), (g2_cross_from_joint, _loop_cross_g2)],
+)
+def test_vectorised_bootstrap_matches_replicate_loop(counts, estimator, stat):
+    joint = JointCountHistogram(int(counts.sum()), counts)
+    est = estimator(joint, n_boot=300, seed=7)
+    reps = _loop_bootstrap(joint, stat, 300, 7)
+    if counts[0, 0] == 57:
+        assert 1 < reps.size < 300  # undefined replicates were dropped
+    assert est.value == pytest.approx(stat(counts, joint.trials), rel=1e-12)
+    assert est.std_err == pytest.approx(reps.std(ddof=1), rel=1e-12)
+
+
 def test_subtract_dark_identity_and_fixture():
     signal = CountHistogram(1_000_000, np.array([999_000, 1000]))
     dark0 = CountHistogram(1_000_000, np.array([1_000_000, 0]))

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -84,6 +85,19 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
     mio.atomic_write_text(path, "hello")
     assert path.read_text() == "hello"
     assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+)
+def test_atomic_write_applies_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "x.txt"
+    old = os.umask(umask)
+    try:
+        mio.atomic_write_text(path, "hello")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_calibration_result_doc_sig_digits():

@@ -1,7 +1,10 @@
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mppcsim import (
@@ -352,6 +355,90 @@ def test_interrupted_run_leaves_no_event_file(tmp_path, monkeypatch, existing):
     else:
         assert names == ["events.csv"]
         assert path.read_text() == existing
+
+
+@pytest.mark.parametrize("existing", [None, "old events\n"])
+def test_interrupted_threaded_run_leaves_no_event_file(tmp_path, monkeypatch, existing):
+    monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+    test_interrupted_run_leaves_no_event_file(tmp_path, monkeypatch, existing)
+
+
+def _run_kind(kind, cfg, events_path):
+    if kind == "single":
+        return simulate_single(cfg, events_path=events_path)
+    twin = kind == "twin"
+    cfg = replace(
+        cfg,
+        source=SourceSpec("twin_thermal", mean=1.5) if twin else cfg.source,
+        detector_i=DetectorParams(eta=0.4, p_xt=0.25, n_max=5, dark_mean=0.1),
+    )
+    run = simulate_twin if twin else simulate_independent
+    return run(cfg, events_path=events_path)
+
+
+@pytest.mark.parametrize("mode", ["binomial", "cascade"])
+@pytest.mark.parametrize("kind", ["single", "twin", "independent"])
+def test_output_is_identical_for_any_worker_count(tmp_path, monkeypatch, kind, mode):
+    cfg = single_cfg(
+        detector_s=DetectorParams(eta=0.5, p_xt=0.15, n_max=12, dark_mean=0.05),
+        trials=5 * CHUNK + 17,
+        crosstalk_mode=mode,
+    )
+    runs = []
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        path = tmp_path / f"events-{workers}.csv"
+        counts = _run_kind(kind, cfg, str(path)).counts
+        runs.append((counts, path.read_bytes()))
+    for counts, events in runs[1:]:
+        assert np.array_equal(counts, runs[0][0])
+        assert events == runs[0][1]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 4 * CHUNK),
+    workers=st.integers(1, 4),
+    mode=st.sampled_from(["binomial", "cascade"]),
+)
+def test_chunk_split_invariance(seed, trials, workers, mode):
+    cfg = single_cfg(
+        detector_i=DetectorParams(eta=0.3, p_xt=0.2, n_max=4, dark_mean=0.1),
+        trials=trials,
+        seed=seed,
+        crosstalk_mode=mode,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_WORKERS", 1)
+        serial = simulate_independent(cfg).counts
+        mp.setattr(montecarlo, "_WORKERS", workers)
+        assert np.array_equal(simulate_independent(cfg).counts, serial)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chunks_start_at_most_one_window_ahead_of_the_merge(
+    tmp_path, monkeypatch, workers
+):
+    real = montecarlo._arm_channel
+    merged = [0]
+    unmerged_at_start = []
+
+    def counting_channel(photons, det, mode, seed, chunk, arm):
+        unmerged_at_start.append(chunk + 1 - merged[0])
+        return real(photons, det, mode, seed, chunk, arm)
+
+    def slow_merge(fh, start, recs):
+        # a merge slower than a chunk lets an unbounded pool run far ahead
+        time.sleep(0.02)
+        merged[0] += 1
+
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    monkeypatch.setattr(montecarlo, "_arm_channel", counting_channel)
+    monkeypatch.setattr(montecarlo, "_write_events", slow_merge)
+    simulate_single(single_cfg(trials=10 * CHUNK), events_path=str(tmp_path / "e.csv"))
+    assert merged[0] == len(unmerged_at_start) == 10
+    assert max(unmerged_at_start) <= workers + 1
 
 
 def test_meta_carries_run_parameters():
