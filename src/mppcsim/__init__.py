@@ -31,8 +31,6 @@ from .detector import (
     apply_channel,
     build_povm,
     channel_matrix,
-    crosstalk_kernel,
-    efficiency_kernel,
     joint_independent,
     joint_photocount,
     nrf_analytic,

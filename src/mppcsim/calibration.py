@@ -1,7 +1,7 @@
 """Crosstalk-probability calibration.
 
 Two routes: a weighted least-squares fit of the measured-g2 law to a
-coherent-light sweep (single fit parameter, bracketed golden-section
+coherent-light sweep (single fit parameter, bracketed bounded Brent
 search), and the classic dark-noise baseline that compares the observed
 single-avalanche rate against the Poisson expectation inferred from the
 crosstalk-immune zero bin.
@@ -13,20 +13,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .crosstalk import P_CAP, P_WARN, coefficient_a, coefficient_b
 from .detector import DetectorParams
 from .errors import (
     BoundaryFitWarning,
     CrosstalkRangeWarning,
-    IllConditionedFitError,
     UndefinedStatisticError,
 )
 from .histograms import CountHistogram, SweepSeries
 from .sources import SourceSpec
 
 FIT_TOL = 1e-7
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -60,51 +59,34 @@ class CalibrationResult:
         return self.p_hat + 2.0 * self.p_hat**2
 
 
-def _golden_min(fun, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
     """Fit the crosstalk probability to a g2-versus-mean-counts sweep.
 
     Minimizes the error-weighted squared residuals of
     g2_i = A(p) g0 + B(p)/n_i over p in [0, 0.6] by a coarse bracket plus
-    golden-section refinement; the uncertainty follows from the curvature
+    bounded Brent refinement; the uncertainty follows from the curvature
     of the weighted objective at the minimum (unit chi-square increase).
     """
-    n = sweep.n_total
     y = sweep.g2
     w = 1.0 / sweep.g2_err**2
-    if np.ptp(n) == 0:
-        raise IllConditionedFitError("sweep points all share one mean count rate")
-
-    inv_n = 1.0 / n
+    inv_n = 1.0 / sweep.n_total
 
     def chi2(p: float) -> float:
         model = coefficient_a(p) * g0 + coefficient_b(p) * inv_n
         r = y - model
         return float(w @ (r * r))
 
-    # coarse scan brackets the minimum; golden section refines it
+    # coarse scan brackets the minimum; bounded Brent refines it
     grid = np.linspace(0.0, float(P_CAP), 61)
     vals = np.array([chi2(p) for p in grid])
     i0 = int(np.argmin(vals))
     lo = grid[max(i0 - 1, 0)]
     hi = grid[min(i0 + 1, grid.size - 1)]
-    p_hat = _golden_min(chi2, lo, hi, FIT_TOL)
+    p_hat = float(
+        minimize_scalar(
+            chi2, bounds=(lo, hi), method="bounded", options={"xatol": FIT_TOL}
+        ).x
+    )
 
     h = 1e-4
     center = min(max(p_hat, h), P_CAP - h)

@@ -33,16 +33,7 @@ from .montecarlo import (
     simulate_twin,
 )
 from .reproduce import FIGURES, PRESETS, reproduce_figure
-from .sources import SourceSpec
-
-_SOURCE_FLAGS = {
-    "coherent": "coherent",
-    "even-poisson": "even_poisson",
-    "fock": "fock",
-    "thermal": "thermal",
-    "twin-thermal": "twin_thermal",
-    "twin-multimode": "twin_multimode",
-}
+from .sources import SOURCE_KINDS, SourceSpec
 
 
 class CliError(Exception):
@@ -50,10 +41,11 @@ class CliError(Exception):
 
 
 def _default_seed() -> int:
+    text = os.environ.get("MPPC_SEED", "0")
     try:
-        return int(os.environ.get("MPPC_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise CliError(f"MPPC_SEED must be an integer, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a seeded acquisition simulation")
-    sim.add_argument("--source", required=True, choices=sorted(_SOURCE_FLAGS))
+    sim.add_argument(
+        "--source",
+        required=True,
+        choices=sorted(kind.replace("_", "-") for kind in SOURCE_KINDS),
+    )
     sim.add_argument("--mean", type=float, default=None)
     sim.add_argument("--modes", type=float, default=None)
     sim.add_argument("--fock-n", type=int, default=None)
@@ -147,7 +143,7 @@ def _detector_from_flags(args, preset, arm: str) -> DetectorParams:
 
 
 def _source_from_flags(args) -> SourceSpec:
-    kind = _SOURCE_FLAGS[args.source]
+    kind = args.source.replace("-", "_")
     if kind == "fock":
         if args.mean is not None:
             raise CliError("--mean is not valid with --source fock (use --fock-n)")
@@ -244,6 +240,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_nrf(args) -> int:
+    if args.eta is not None and not 0.0 < args.eta <= 1.0:
+        raise CliError(f"--eta must lie in (0, 1], got {args.eta}")
+    if args.xt is not None and not 0.0 <= args.xt < 1.0:
+        raise CliError(f"--xt must lie in [0, 1), got {args.xt}")
     rows = []
     for path in args.inputs:
         joint = io.read_joint_histogram(path)

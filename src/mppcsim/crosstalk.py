@@ -81,6 +81,13 @@ def transform_histogram(hist: CountHistogram, p) -> CountHistogram:
     return CountHistogram(hist.trials, np.array([float(v) for v in out]), meta)
 
 
+def _pair_and_count_sums(hist: CountHistogram) -> tuple[Fraction, Fraction]:
+    """Exact (sum C(k,2) N_k, sum k N_k) over the histogram's bins."""
+    vals = [Fraction(c if isinstance(c, int) else float(c)) for c in hist.counts]
+    pairs = sum(Fraction(k * (k - 1), 2) * v for k, v in enumerate(vals))
+    return pairs, sum(k * v for k, v in enumerate(vals))
+
+
 def expected_coincidences(hist: CountHistogram, p) -> float:
     """Pairwise-coincidence total of the crosstalk-perturbed histogram.
 
@@ -89,12 +96,7 @@ def expected_coincidences(hist: CountHistogram, p) -> float:
     """
     pf = _as_fraction(p)
     _check_p(pf, "coincidence aggregate")
-    s = Fraction(0)
-    d = Fraction(0)
-    for k, c in enumerate(hist.counts):
-        cf = Fraction(c if isinstance(c, int) else float(c))
-        s += Fraction(k * (k - 1), 2) * cf
-        d += k * cf
+    s, d = _pair_and_count_sums(hist)
     return float((1 + 2 * pf + 4 * pf * pf) * s + pf * (1 + 3 * pf) * d)
 
 
@@ -102,10 +104,7 @@ def expected_total_counts(hist: CountHistogram, p) -> float:
     """Photocount total of the crosstalk-perturbed histogram: (1+p+2p^2) sum k N_k."""
     pf = _as_fraction(p)
     _check_p(pf, "total-count aggregate")
-    d = Fraction(0)
-    for k, c in enumerate(hist.counts):
-        d += k * Fraction(c if isinstance(c, int) else float(c))
-    return float((1 + pf + 2 * pf * pf) * d)
+    return float((1 + pf + 2 * pf * pf) * _pair_and_count_sums(hist)[1])
 
 
 def coefficient_a(p: float) -> float:

@@ -12,14 +12,14 @@ above n_max can only end in the saturation row, so it is never evaluated.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
 from .errors import UndefinedStatisticError
-from .sources import TAIL_TARGET, PhotonNumberDistribution
+from .estimators import _nrf
+from .sources import PhotonNumberDistribution, pmf_coherent
 
 _COMPLETENESS_TOL = 1e-10
 
@@ -92,41 +92,23 @@ class JointPhotocountDistribution:
             raise ValueError("joint table must sum to 1")
 
 
-def crosstalk_kernel(n: int, m: int, p: float) -> float:
-    """Probability that n avalanches register as m counts, each avalanche
-    triggering at most one neighbor with probability p.
+def build_povm(params: DetectorParams, k_max: int) -> PovmMatrix:
+    """Dark-free saturating response matrix of the detector.
 
-    Support is n <= m <= 2n; zero outside.
+    Rows N < n_max compose the crosstalk and efficiency kernels; the row
+    N = n_max is the completeness complement, so every column sums to 1.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must lie in [0, 1)")
-    if n < 0 or m < n or m > 2 * n:
-        return 0.0
-    return float(stats.binom.pmf(m - n, n, p))
+    q = channel_matrix(replace(params, dark_mean=0.0), k_max)
+    return PovmMatrix(q, params, k_max)
 
 
-def efficiency_kernel(k: int, n: int, eta: float) -> float:
-    """Probability that k incident photons yield n detected avalanches."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    if k < 0 or n < 0 or n > k:
-        return 0.0
-    return float(stats.binom.pmf(n, k, eta))
+def channel_matrix(params: DetectorParams, k_max: int) -> np.ndarray:
+    """Column-stochastic Q(N|k), N = 0..n_max, k = 0..k_max, including the
+    dark-avalanche stage.
 
-
-def _dark_pmf(dark_mean: float) -> np.ndarray:
-    if dark_mean == 0:
-        return np.array([1.0])
-    d = int(dark_mean + 12 * math.sqrt(dark_mean) + 25)
-    while stats.poisson.sf(d, dark_mean) >= TAIL_TARGET:
-        d = 2 * d + 16
-    return stats.poisson.pmf(np.arange(d + 1), dark_mean)
-
-
-def _response_matrix(
-    eta: float, p: float, n_max: int, k_max: int, dark_mean: float
-) -> np.ndarray:
-    """Column-stochastic Q(N|k), N = 0..n_max, k = 0..k_max.
+    Dark avalanches are injected after detection loss and participate in
+    crosstalk like photon avalanches; the saturation clamp acts last.
+    With dark_mean = 0 this is exactly the matrix of ``build_povm``.
 
     Only the rows N < n_max are built. Crosstalk never lowers a count, so
     these rows need only the avalanche numbers a < n_max, and a avalanches
@@ -134,48 +116,25 @@ def _response_matrix(
     row, the complement of the rows below it. The cost is O(n_max^2 k_max)
     time and O(n_max k_max) memory.
     """
-    dark = _dark_pmf(dark_mean)
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    n_max = params.n_max
+    dark = pmf_coherent(params.dark_mean).probs
     a_rows = min(n_max, k_max + dark.size)
     a_all = np.arange(a_rows)
-    qe = stats.binom.pmf(a_all[:, None], np.arange(k_max + 1)[None, :], eta)
+    qe = stats.binom.pmf(a_all[:, None], np.arange(k_max + 1)[None, :], params.eta)
     avalanches = np.zeros_like(qe)
     for d, w in enumerate(dark[:a_rows]):
         avalanches[d:, :] += w * qe[: a_rows - d, :]
 
     n_rows = min(n_max, 2 * a_rows - 1)
     big_n = np.arange(n_rows)
-    xt = stats.binom.pmf(big_n[:, None] - a_all[None, :], a_all[None, :], p)
+    xt = stats.binom.pmf(big_n[:, None] - a_all[None, :], a_all[None, :], params.p_xt)
 
     q = np.zeros((n_max + 1, k_max + 1))
     q[:n_rows, :] = xt @ avalanches
     q[n_max, :] = np.maximum(1.0 - q[:n_max, :].sum(axis=0), 0.0)
     return q
-
-
-def build_povm(params: DetectorParams, k_max: int) -> PovmMatrix:
-    """Dark-free saturating response matrix of the detector.
-
-    Rows N < n_max compose the crosstalk and efficiency kernels; the row
-    N = n_max is the completeness complement, so every column sums to 1.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    q = _response_matrix(params.eta, params.p_xt, params.n_max, k_max, 0.0)
-    return PovmMatrix(q, params, k_max)
-
-
-def channel_matrix(params: DetectorParams, k_max: int) -> np.ndarray:
-    """Conditional photocount matrix including the dark-avalanche stage.
-
-    Dark avalanches are injected after detection loss and participate in
-    crosstalk like photon avalanches; the saturation clamp acts last.
-    With dark_mean = 0 this is exactly the matrix of ``build_povm``.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return _response_matrix(
-        params.eta, params.p_xt, params.n_max, k_max, params.dark_mean
-    )
 
 
 def apply_channel(
@@ -226,24 +185,13 @@ def joint_independent(
 def nrf_analytic(joint: JointPhotocountDistribution) -> float:
     """Noise reduction factor Var(N_s - N_i)/<N_s + N_i> of a joint table.
 
-    The difference variance is expanded into its six moment terms and
-    evaluated exactly from the joint probabilities.
+    Evaluated exactly from the joint probabilities by the estimators' NRF
+    statistic, taking the table as one trial with the population variance.
     """
-    probs = joint.probs
-    n_s = np.arange(probs.shape[0], dtype=float)
-    n_i = np.arange(probs.shape[1], dtype=float)
-    ps = probs.sum(axis=1)
-    pi = probs.sum(axis=0)
-    m_s = float(n_s @ ps)
-    m_i = float(n_i @ pi)
-    m_s2 = float((n_s**2) @ ps)
-    m_i2 = float((n_i**2) @ pi)
-    m_si = float(n_s @ probs @ n_i)
-    denom = m_s + m_i
-    if denom <= 0:
+    value, defined = _nrf(joint.probs[None], 1, ddof=0)
+    if not defined[0]:
         raise UndefinedStatisticError("NRF undefined for zero total counts")
-    var_diff = m_s2 - m_s**2 + m_i2 - m_i**2 - 2.0 * m_si + 2.0 * m_s * m_i
-    return var_diff / denom
+    return float(value[0])
 
 
 def nrf_limit_coherent(p: float) -> float:

@@ -70,13 +70,16 @@ def _bootstrap(joint: JointCountHistogram, stat, n_boot: int, seed, undefined: s
 
     ``stat(tables, trials)`` takes a stack of count tables of shape
     (n, N_s, N_i) and returns each table's value and whether it is defined;
-    undefined replicates are dropped.
+    undefined replicates are dropped. A ``seed`` of None means the run seed
+    in ``joint.meta``.
     """
     value, defined = stat(joint.counts[None], joint.trials)
     if not defined[0]:
         raise UndefinedStatisticError(undefined)
     flat = joint.counts.ravel()
     p = flat / flat.sum()
+    if seed is None:
+        seed = _seed_from_meta(joint.meta)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     draws = rng.multinomial(joint.trials, p, size=n_boot).astype(float)
     reps, defined = stat(draws.reshape(n_boot, *joint.counts.shape), joint.trials)
@@ -100,14 +103,12 @@ def g2_cross_from_joint(
     joint: JointCountHistogram, n_boot: int = N_BOOTSTRAP, seed: int | None = None
 ) -> EstimateWithError:
     """Two-detector correlation <N_s N_i>/(<N_s><N_i>) with bootstrap error."""
-    if seed is None:
-        seed = _seed_from_meta(joint.meta)
     return _bootstrap(
         joint, _cross_g2, n_boot, seed, "cross g2 undefined: zero marginal mean"
     )
 
 
-def _nrf(tables: np.ndarray, trials: int):
+def _nrf(tables: np.ndarray, trials: int, ddof: int = 1):
     n_s = np.arange(tables.shape[1], dtype=float)
     n_i = np.arange(tables.shape[2], dtype=float)
     diff = n_s[:, None] - n_i[None, :]
@@ -116,7 +117,8 @@ def _nrf(tables: np.ndarray, trials: int):
     defined = mean_sum > 0
     mean_diff = (diff * tables).sum(axis=(1, 2)) / trials
     ss = (diff**2 * tables).sum(axis=(1, 2))
-    var = (ss - trials * mean_diff**2) / (trials - 1)
+    # ddof 1: unbiased sample variance; 0: variance of a probability table
+    var = (ss - trials * mean_diff**2) / (trials - ddof)
     with np.errstate(divide="ignore", invalid="ignore"):
         return var / mean_sum, defined
 
@@ -130,8 +132,6 @@ def nrf_from_joint(
     """
     if joint.trials < 2:
         raise UndefinedStatisticError("NRF needs at least 2 trials")
-    if seed is None:
-        seed = _seed_from_meta(joint.meta)
     return _bootstrap(joint, _nrf, n_boot, seed, "NRF undefined: zero total counts")
 
 

@@ -12,6 +12,22 @@ from .errors import IllConditionedFitError
 _SUM_TOL = 1e-6
 
 
+def _checked_counts(trials, counts, ndim: int) -> np.ndarray:
+    """``counts`` as a float array, checked to be a non-negative ``ndim``-d
+    table that sums to the positive integer ``trials``."""
+    if trials < 1 or int(trials) != trials:
+        raise ValueError("trials must be a positive integer")
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != ndim or counts.size < 1:
+        raise ValueError(f"counts must be a non-empty {ndim}-d array")
+    if np.any(counts < -1e-9):
+        raise ValueError("counts must be non-negative")
+    total = counts.sum()
+    if abs(total - trials) > _SUM_TOL * max(1.0, trials):
+        raise ValueError(f"counts sum {total} inconsistent with trials {trials}")
+    return counts
+
+
 @dataclass(frozen=True)
 class CountHistogram:
     """Photocount histogram over ``trials`` pulses, bin 0 included.
@@ -27,19 +43,7 @@ class CountHistogram:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1 or int(self.trials) != self.trials:
-            raise ValueError("trials must be a positive integer")
-        counts = np.asarray(self.counts, dtype=float)
-        if counts.ndim != 1 or counts.size < 1:
-            raise ValueError("counts must be a non-empty vector")
-        if np.any(counts < -1e-9):
-            raise ValueError("counts must be non-negative")
-        total = counts.sum()
-        if abs(total - self.trials) > _SUM_TOL * max(1.0, self.trials):
-            raise ValueError(
-                f"counts sum {total} inconsistent with trials {self.trials}"
-            )
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _checked_counts(self.trials, self.counts, 1))
 
     @classmethod
     def from_nonzero_counts(cls, trials, counts_from_k1, meta=None):
@@ -66,16 +70,7 @@ class JointCountHistogram:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1 or int(self.trials) != self.trials:
-            raise ValueError("trials must be a positive integer")
-        counts = np.asarray(self.counts, dtype=float)
-        if counts.ndim != 2:
-            raise ValueError("counts must be a matrix")
-        if np.any(counts < -1e-9):
-            raise ValueError("counts must be non-negative")
-        if abs(counts.sum() - self.trials) > _SUM_TOL * max(1.0, self.trials):
-            raise ValueError("joint counts must sum to trials")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _checked_counts(self.trials, self.counts, 2))
 
     @property
     def mean_counts(self) -> tuple[float, float]:

@@ -65,53 +65,54 @@ def _jsonable_meta(meta: dict) -> dict:
     return out
 
 
-def _int_counts(counts: np.ndarray) -> list:
-    rounded = np.rint(counts)
-    if np.any(np.abs(counts - rounded) > 1e-9):
+def _write_counts_doc(path, schema: str, hist) -> None:
+    rounded = np.rint(hist.counts)
+    if np.any(np.abs(hist.counts - rounded) > 1e-9):
         raise ValueError("only integer event histograms are serialized")
-    return [int(v) for v in rounded.ravel()]
-
-
-def write_histogram(path, hist: CountHistogram) -> None:
     doc = {
-        "schema": SCHEMA_HIST,
+        "schema": schema,
         "trials": int(hist.trials),
-        "counts": _int_counts(hist.counts),
+        "counts": rounded.astype(np.int64).tolist(),
         "meta": _jsonable_meta(hist.meta),
     }
     atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
-def read_histogram(path) -> CountHistogram:
+def write_histogram(path, hist: CountHistogram) -> None:
+    _write_counts_doc(path, SCHEMA_HIST, hist)
+
+
+def _read_counts_doc(path, schema: str) -> tuple[dict, np.ndarray]:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema") != SCHEMA_HIST:
-        raise SchemaError(f"{path}: expected schema {SCHEMA_HIST!r}")
-    counts = np.asarray(doc["counts"], dtype=np.int64)
+    if not isinstance(doc, dict) or doc.get("schema") != schema:
+        raise SchemaError(f"{path}: expected schema {schema!r}")
+    missing = [key for key in ("trials", "counts") if key not in doc]
+    if missing:
+        raise SchemaError(f"{path}: missing {' and '.join(missing)}")
+    try:
+        counts = np.asarray(doc["counts"], dtype=np.int64)
+    except (TypeError, ValueError):
+        counts = None
+    # the int64 cast truncates 1.5 to 1; compare with the values as written
+    if counts is None or not np.array_equal(counts, doc["counts"]):
+        raise SchemaError(f"{path}: counts must be integers")
+    return doc, counts
+
+
+def read_histogram(path) -> CountHistogram:
+    doc, counts = _read_counts_doc(path, SCHEMA_HIST)
     if counts.sum() != doc["trials"]:
         raise SchemaError(f"{path}: counts do not sum to trials")
     return CountHistogram(doc["trials"], counts, doc.get("meta", {}))
 
 
 def write_joint_histogram(path, joint: JointCountHistogram) -> None:
-    rows = [
-        _int_counts(joint.counts[i]) for i in range(joint.counts.shape[0])
-    ]
-    doc = {
-        "schema": SCHEMA_JOINT,
-        "trials": int(joint.trials),
-        "counts": rows,
-        "meta": _jsonable_meta(joint.meta),
-    }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    _write_counts_doc(path, SCHEMA_JOINT, joint)
 
 
 def read_joint_histogram(path) -> JointCountHistogram:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SCHEMA_JOINT:
-        raise SchemaError(f"{path}: expected schema {SCHEMA_JOINT!r}")
-    counts = np.asarray(doc["counts"], dtype=np.int64)
+    doc, counts = _read_counts_doc(path, SCHEMA_JOINT)
     if counts.ndim != 2 or counts.sum() != doc["trials"]:
         raise SchemaError(f"{path}: counts matrix does not sum to trials")
     return JointCountHistogram(doc["trials"], counts, doc.get("meta", {}))

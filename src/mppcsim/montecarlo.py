@@ -13,8 +13,9 @@ Two crosstalk samplers are available. ``binomial`` lets every avalanche
 trigger at most one neighbor, which is exactly the analytic response
 matrix of :mod:`mppcsim.detector`. ``cascade`` lets every triggered
 neighbor trigger further neighbors until extinction (geometric
-branching), which reproduces the higher-order events the histogram-level
-algebra of :mod:`mppcsim.crosstalk` keeps to second order. Under
+branching). It agrees with the histogram-level algebra of
+:mod:`mppcsim.crosstalk` to first order in p only: a single avalanche
+reaches 2 counts with probability p(1 - p) here and p in the algebra. Under
 geometric branching n avalanches register as n + NegBin(n, 1 - p)
 counts, so the cascade is one negative-binomial draw per pulse, equal in
 law to following the branching generation by generation.
@@ -296,12 +297,12 @@ def _subseed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sweep(config: SimulationConfig, intensities):
-    """Run one simulation per intensity with derived sub-seeds.
+def sweep(config: SimulationConfig, intensities) -> SweepSeries:
+    """Run one single-arm simulation per intensity with derived sub-seeds.
 
-    Single-arm configs return a :class:`SweepSeries` of measured g2 versus
-    mean counts per pulse; two-arm configs return the list of joint
-    histograms for downstream NRF or cross-g2 analysis.
+    Always returns a :class:`SweepSeries` of measured g2 versus mean counts
+    per pulse. Two-arm configs raise ``ValueError``; run them point by
+    point with :func:`simulate_twin` or :func:`simulate_independent`.
     """
     grid = np.asarray(intensities, dtype=float)
     if grid.size == 0:
@@ -310,26 +311,20 @@ def sweep(config: SimulationConfig, intensities):
         raise ValueError("intensity grid needs at least 3 points")
     if np.any(grid <= 0):
         raise ValueError("intensities must be strictly positive")
+    if config.source.is_twin or config.detector_i is not None:
+        raise ValueError(
+            "sweep runs one arm; run two-arm configs point by point with "
+            "simulate_twin or simulate_independent"
+        )
 
-    two_arm = config.source.is_twin or config.detector_i is not None
-    results = []
+    points = []
     for idx, mean in enumerate(grid):
         cfg = replace(
             config,
             source=replace(config.source, mean=float(mean)),
             seed=_subseed(config.seed, idx),
         )
-        if not two_arm:
-            results.append(simulate_single(cfg))
-        elif config.source.is_twin:
-            results.append(simulate_twin(cfg))
-        else:
-            results.append(simulate_independent(cfg))
-    if two_arm:
-        return results
-
-    points = []
-    for hist in results:
+        hist = simulate_single(cfg)
         est = g2_from_histogram(hist)
         points.append((mean_counts_per_pulse(hist), est.value, est.std_err))
     meta = _run_meta(config)

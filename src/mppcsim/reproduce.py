@@ -10,10 +10,12 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import io
 from .calibration import fit_crosstalk
 from .detector import DetectorParams, nrf_limit_coherent, nrf_limit_sv
+from .errors import BoundaryFitWarning
 from .estimators import g2_cross_from_joint, nrf_from_joint
 from .montecarlo import SimulationConfig, simulate_independent, simulate_twin, sweep
 from .sources import SourceSpec
@@ -30,18 +32,8 @@ PRESETS = {
 
 def _solve_even_weight(target_mean: float) -> float:
     """Weight parameter of the even-only source whose mean is target_mean."""
-    lo, hi = 1e-9, max(4.0 * target_mean + 5.0, 5.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.tanh(mid) < target_mean:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _report(lines) -> str:
-    return "\n".join(lines) + "\n"
+    hi = max(4.0 * target_mean + 5.0, 5.0)
+    return brentq(lambda m: m * math.tanh(m) - target_mean, 1e-9, hi, xtol=1e-15)
 
 
 def _check(lines, name: str, passed: bool, detail: str) -> None:
@@ -96,6 +88,7 @@ def _figure_5(out_dir, seed, pulses):
     targets = np.geomspace(0.1, 2.0, 8)
     lines = [f"scenario 5: crosstalk fits for three pixel-size presets, eta={eta}"]
     fitted = {}
+    on_boundary = []
     for idx, (label, (p, _dark, pixels)) in enumerate(PRESETS.items()):
         det = DetectorParams(eta=eta, p_xt=p, n_max=pixels, pixel_count=pixels)
         cfg = SimulationConfig(
@@ -110,6 +103,8 @@ def _figure_5(out_dir, seed, pulses):
             warnings.simplefilter("always")
             result = fit_crosstalk(series, g0=1.0)
         fitted[label] = result
+        if any(issubclass(w.category, BoundaryFitWarning) for w in caught):
+            on_boundary.append(label)
         path = os.path.join(out_dir, f"fig5_{label}.csv")
         io.write_g2_sweep(path, series)
         lines.append(f"WROTE {os.path.basename(path)}")
@@ -125,6 +120,9 @@ def _figure_5(out_dir, seed, pulses):
     )
     _check(lines, "pixel_size_ordering", bool(order),
            "fitted crosstalk grows with pixel size (25um < 50um < 100um)")
+    _check(lines, "no_boundary_fit", not on_boundary,
+           "every fitted p lies inside its allowed range"
+           + (f" (on the boundary: {', '.join(on_boundary)})" if on_boundary else ""))
     return lines
 
 
@@ -217,6 +215,6 @@ def reproduce_figure(figure: str, out_dir, seed: int = 0, pulses: int = 200_000)
         "8b": _figure_8b,
     }[figure]
     lines = runner(out_dir, seed, pulses)
-    text = _report(lines)
+    text = "\n".join(lines) + "\n"
     io.atomic_write_text(os.path.join(out_dir, "report.txt"), text)
     return text

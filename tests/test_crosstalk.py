@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mppcsim import (
     CountHistogram,
@@ -71,6 +73,23 @@ def test_aggregates_match_direct_count_on_transformed_bins():
             expected_coincidences(hist, p), rel=1e-12
         )
         assert float(total) == pytest.approx(expected_total_counts(hist, p), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=15).filter(any),
+    p=st.integers(0, 600).map(lambda m: f"0.{m:03d}"),
+)
+def test_aggregates_are_exact_sums_over_conserved_transform(counts, p):
+    hist = CountHistogram(sum(counts), np.array(counts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CrosstalkRangeWarning)  # p > 0.3
+        out = transform_counts_exact(counts, p)
+        coinc = expected_coincidences(hist, p)
+        total = expected_total_counts(hist, p)
+    assert sum(out) == sum(counts)
+    assert coinc == float(sum(Fraction(k * (k - 1), 2) * v for k, v in enumerate(out)))
+    assert total == float(sum(k * v for k, v in enumerate(out)))
 
 
 def test_aggregate_fixtures():

@@ -15,8 +15,6 @@ from mppcsim import (
     apply_channel,
     build_povm,
     channel_matrix,
-    crosstalk_kernel,
-    efficiency_kernel,
     joint_independent,
     joint_photocount,
     nrf_analytic,
@@ -26,7 +24,6 @@ from mppcsim import (
     pmf_fock,
     pmf_thermal,
 )
-from mppcsim.detector import _dark_pmf
 
 
 def enumerate_crosstalk(n, p):
@@ -49,49 +46,62 @@ def enumerate_loss(k, eta):
     return out
 
 
+def crosstalk_column(n, p, n_max=64):
+    """P(m counts | n avalanches) as column n of the channel at eta 1 with no
+    dark counts; n_max lies above the support m <= 2n."""
+    params = DetectorParams(eta=1.0, p_xt=p, n_max=n_max)
+    return channel_matrix(params, max(n, 1))[:, n]
+
+
+def loss_column(k, eta, n_max=64):
+    """P(n avalanches | k photons) as column k of the channel at p_xt 0."""
+    params = DetectorParams(eta=eta, p_xt=0.0, n_max=n_max)
+    return channel_matrix(params, max(k, 1))[:, k]
+
+
 def test_crosstalk_kernel_single_avalanche():
-    assert crosstalk_kernel(1, 1, 0.3) == pytest.approx(0.7)
-    assert crosstalk_kernel(1, 2, 0.3) == pytest.approx(0.3)
-    assert crosstalk_kernel(0, 0, 0.3) == 1.0
+    assert crosstalk_column(1, 0.3)[1] == pytest.approx(0.7)
+    assert crosstalk_column(1, 0.3)[2] == pytest.approx(0.3)
+    assert crosstalk_column(0, 0.3)[0] == 1.0
 
 
 def test_crosstalk_kernel_matches_enumeration():
     for n in (2, 3, 5):
         ref = enumerate_crosstalk(n, 0.2)
         for m in range(n, 2 * n + 1):
-            assert crosstalk_kernel(n, m, 0.2) == pytest.approx(ref[m], abs=1e-12)
-    assert crosstalk_kernel(2, 2, 0.2) == pytest.approx(0.64, abs=1e-12)
-    assert crosstalk_kernel(2, 3, 0.2) == pytest.approx(0.32, abs=1e-12)
-    assert crosstalk_kernel(2, 4, 0.2) == pytest.approx(0.04, abs=1e-12)
+            assert crosstalk_column(n, 0.2)[m] == pytest.approx(ref[m], abs=1e-12)
+    assert crosstalk_column(2, 0.2)[2] == pytest.approx(0.64, abs=1e-12)
+    assert crosstalk_column(2, 0.2)[3] == pytest.approx(0.32, abs=1e-12)
+    assert crosstalk_column(2, 0.2)[4] == pytest.approx(0.04, abs=1e-12)
 
 
 def test_crosstalk_kernel_support_and_domain():
-    assert crosstalk_kernel(2, 5, 0.2) == 0.0
-    assert crosstalk_kernel(2, 1, 0.2) == 0.0
+    assert crosstalk_column(2, 0.2)[5] == 0.0
+    assert crosstalk_column(2, 0.2)[1] == 0.0
     with pytest.raises(ValueError):
-        crosstalk_kernel(1, 1, 1.0)
+        crosstalk_column(1, 1.0)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.6])
 def test_crosstalk_kernel_normalization(p):
     for n in (0, 1, 5, 17, 30):
-        total = sum(crosstalk_kernel(n, m, p) for m in range(n, 2 * n + 1))
+        total = sum(crosstalk_column(n, p)[m] for m in range(n, 2 * n + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_efficiency_kernel_values():
-    vals = [efficiency_kernel(3, n, 0.5) for n in range(4)]
+    vals = [loss_column(3, 0.5)[n] for n in range(4)]
     assert vals == pytest.approx([0.125, 0.375, 0.375, 0.125])
-    assert efficiency_kernel(4, 4, 1.0) == 1.0
+    assert loss_column(4, 1.0)[4] == 1.0
     ref = enumerate_loss(2, 0.3)
-    assert efficiency_kernel(2, 1, 0.3) == pytest.approx(ref[1], abs=1e-12)
-    assert efficiency_kernel(2, 1, 0.3) == pytest.approx(0.42, abs=1e-12)
-    assert efficiency_kernel(2, 3, 0.3) == 0.0  # out of support
+    assert loss_column(2, 0.3)[1] == pytest.approx(ref[1], abs=1e-12)
+    assert loss_column(2, 0.3)[1] == pytest.approx(0.42, abs=1e-12)
+    assert loss_column(2, 0.3)[3] == 0.0  # out of support
 
 
 def test_efficiency_kernel_normalization():
     for k in (0, 1, 7, 30):
-        total = sum(efficiency_kernel(k, n, 0.37) for n in range(k + 1))
+        total = sum(loss_column(k, 0.37)[n] for n in range(k + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -200,7 +210,7 @@ def full_grid_response(eta, p, n_max, k_max, dark_mean):
     """Oracle: every avalanche row and all 2a+1 crosstalk rows, then the clamp."""
     ks = np.arange(k_max + 1)
     qe = stats.binom.pmf(ks[:, None], ks[None, :], eta)
-    dark = _dark_pmf(dark_mean)
+    dark = pmf_coherent(dark_mean).probs
     avalanches = np.zeros((k_max + dark.size, k_max + 1))
     for d, w in enumerate(dark):
         avalanches[d : d + k_max + 1, :] += w * qe
@@ -266,6 +276,36 @@ def test_joint_independent_factorizes():
     assert np.array_equal(j.probs, np.outer(out1, out2))
     vac = joint_independent(pmf_fock(0), pmf_fock(0), a, a)
     assert vac.probs[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def nrf_moment_expansion(probs):
+    """Oracle: Var(N_s - N_i)/<N_s + N_i> from the six moment terms."""
+    n_s = np.arange(probs.shape[0], dtype=float)
+    n_i = np.arange(probs.shape[1], dtype=float)
+    ps, pi = probs.sum(axis=1), probs.sum(axis=0)
+    m_s, m_i = n_s @ ps, n_i @ pi
+    m_si = n_s @ probs @ n_i
+    var = (n_s**2) @ ps - m_s**2 + (n_i**2) @ pi - m_i**2 - 2 * m_si + 2 * m_s * m_i
+    return var / (m_s + m_i)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    mean=st.floats(1e-3, 8.0),
+    eta=st.floats(0.05, 1.0),
+    p=st.floats(0.0, 0.6),
+    n_max=st.integers(1, 30),
+    twin=st.booleans(),
+)
+def test_nrf_matches_moment_expansion(mean, eta, p, n_max, twin):
+    params = DetectorParams(eta=eta, p_xt=p, n_max=n_max, dark_mean=0.01)
+    if twin:
+        joint = joint_photocount(pmf_thermal(mean), params, params)
+    else:
+        coh = pmf_coherent(mean)
+        joint = joint_independent(coh, coh, params, params)
+    ref = nrf_moment_expansion(joint.probs)
+    assert nrf_analytic(joint) == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
 def test_nrf_trivial_cases():

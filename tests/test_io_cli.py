@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,46 @@ def test_schema_mismatch_raises(tmp_path):
     )
     with pytest.raises(mio.SchemaError):
         mio.read_histogram(bad)
+
+
+# (field, replacement or None to drop it, expected message)
+MALFORMED_FIELDS = [
+    ("trials", None, "missing trials"),
+    ("counts", None, "missing counts"),
+    ("counts", {"1": 2}, "counts must be integers"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    MALFORMED_FIELDS + [("counts", [1.5, 2.5], "counts must be integers")],
+)
+def test_histogram_malformed_field_is_schema_error(tmp_path, key, value, message):
+    doc = {"schema": "mppc-hist/1", "trials": 3, "counts": [1, 2]}
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(mio.SchemaError, match=message):
+        mio.read_histogram(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    MALFORMED_FIELDS + [("counts", [[1.5, 2.5], [0, 0]], "counts must be integers")],
+)
+def test_joint_histogram_malformed_field_is_schema_error(tmp_path, key, value, message):
+    doc = {"schema": "mppc-joint/1", "trials": 3, "counts": [[1, 2], [0, 0]]}
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(mio.SchemaError, match=message):
+        mio.read_joint_histogram(path)
 
 
 def test_sweep_round_trip_exact(tmp_path):
@@ -269,6 +310,13 @@ def test_cli_g2_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_g2_malformed_histogram_exits_2(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"schema": "mppc-hist/1", "counts": [1, 2]}))
+    assert main(["g2", str(path)]) == 2
+    assert "missing trials" in capsys.readouterr().err
+
+
 def test_cli_g2_with_dark_subtraction(tmp_path, capsys):
     sig = tmp_path / "sig.json"
     drk = tmp_path / "dark.json"
@@ -342,6 +390,24 @@ def test_cli_nrf(tmp_path, capsys):
     assert data[0, 0] == pytest.approx(0.7 / (1.28 * 0.163), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eta", "0", "--xt", "0.1"], "--eta"),
+        (["--eta", "1.5"], "--eta"),
+        (["--xt", "1"], "--xt"),
+        (["--eta", "0.5", "--xt", "-0.2"], "--xt"),
+    ],
+)
+def test_cli_nrf_rejects_bad_eta_and_xt(tmp_path, capsys, flags, message):
+    path = tmp_path / "j.json"
+    mio.write_joint_histogram(path, JointCountHistogram(10, np.diag([5, 3, 2])))
+    out = tmp_path / "nrf.csv"
+    assert main(["nrf", str(path), "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_povm(tmp_path, capsys):
     out = tmp_path / "q.csv"
     rc = main(
@@ -391,6 +457,40 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
     a = mio.read_histogram(out1)
     b = mio.read_histogram(out2)
     assert np.array_equal(a.counts, b.counts)
+
+
+def test_cli_rejects_non_integer_env_seed(tmp_path, monkeypatch, capsys):
+    args = ["simulate", "--source", "coherent", "--mean", "1", "--trials", "100",
+            "--quiet", "--out", str(tmp_path / "a.json")]
+    monkeypatch.setenv("MPPC_SEED", "abc")
+    assert main(args) == 2
+    assert "MPPC_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
+    assert main(args + ["--seed", "4"]) == 0  # an explicit --seed wins
+
+
+@pytest.mark.parametrize("on_boundary", [False, True])
+def test_reproduce_figure_5_fails_a_boundary_fit(tmp_path, monkeypatch, on_boundary):
+    from mppcsim import reproduce
+    from mppcsim.calibration import CalibrationResult
+    from mppcsim.errors import BoundaryFitWarning
+
+    fits = iter([0.05, 0.15, 0.6 if on_boundary else 0.45])
+
+    def fake_fit(series, g0=1.0):
+        p_hat = next(fits)
+        if p_hat == 0.6:
+            warnings.warn("fitted p on the boundary", BoundaryFitWarning)
+        return CalibrationResult(p_hat, 0.01, 1.0, 0.1, "g2_fit", cod=0.99)
+
+    monkeypatch.setattr(reproduce, "fit_crosstalk", fake_fit)
+    text = reproduce.reproduce_figure("5", tmp_path, seed=0, pulses=2000)
+    assert "CHECK pixel_size_ordering PASS" in text
+    if on_boundary:
+        assert "CHECK no_boundary_fit FAIL" in text
+        assert "(on the boundary: mppc-100um)" in text
+    else:
+        assert "CHECK no_boundary_fit PASS" in text
 
 
 def test_cli_reproduce_unknown_figure(tmp_path, capsys):

@@ -263,17 +263,19 @@ def test_sweep_single_arm_returns_series():
     assert np.array_equal(series.points, again.points)
 
 
-def test_sweep_twin_returns_joint_list():
-    cfg = SimulationConfig(
+def test_sweep_rejects_two_arm_configs():
+    det = DetectorParams(eta=0.5, p_xt=0.1, n_max=5)
+    twin = SimulationConfig(
         source=SourceSpec("twin_thermal", mean=1.0),
-        detector_s=DetectorParams(eta=0.5, p_xt=0.1, n_max=5),
-        detector_i=DetectorParams(eta=0.5, p_xt=0.1, n_max=5),
+        detector_s=det,
+        detector_i=det,
         trials=5000,
         seed=5,
     )
-    out = sweep(cfg, [0.1, 0.5, 1.0])
-    assert len(out) == 3
-    assert all(j.counts.sum() == 5000 for j in out)
+    independent = replace(twin, source=SourceSpec("coherent", mean=1.0))
+    for cfg in (twin, independent):
+        with pytest.raises(ValueError, match="simulate_twin or simulate_independent"):
+            sweep(cfg, [0.1, 0.5, 1.0])
 
 
 def test_sweep_grid_validation():
