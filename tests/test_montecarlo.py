@@ -1,3 +1,6 @@
+import csv
+import io
+import re
 import time
 from dataclasses import replace
 
@@ -24,7 +27,7 @@ from mppcsim import (
 )
 from mppcsim.histograms import SweepSeries
 from mppcsim import montecarlo
-from mppcsim.montecarlo import CHUNK, read_events
+from mppcsim.montecarlo import CHUNK, EventRecord, read_events
 
 
 def single_cfg(**kw):
@@ -334,6 +337,122 @@ def test_event_stream_crosses_chunk_boundary(tmp_path):
     assert np.array_equal(
         np.bincount(recorded, minlength=hist.counts.size), hist.counts
     )
+
+
+def _csv_writer_oracle(start, recs):
+    """The event rows as ``csv.writer`` writes them."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for j, counts in enumerate(zip(*(r.tolist() for r in recs))):
+        writer.writerow((start + j, *counts, "")[:3])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("start", [0, 3 * CHUNK + 5])
+@pytest.mark.parametrize("arms", [1, 2])
+def test_write_events_matches_csv_writer(start, arms):
+    rng = np.random.default_rng(start + arms)
+    recs = [rng.integers(0, 401, 2000) for _ in range(arms)]
+    recs[0][:2] = (0, 400)  # both ends of n_max 400
+    fh = io.StringIO(newline="")
+    montecarlo._write_events(fh, start, recs)
+    assert fh.getvalue() == _csv_writer_oracle(start, recs)
+
+
+def _assert_plain_ints(events, arms):
+    for e in events:
+        assert type(e.pulse_index) is int and type(e.counts_s) is int
+        assert type(e.counts_i) is (int if arms == 2 else type(None))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 2 * CHUNK + 17),
+    arms=st.sampled_from([1, 2]),
+)
+def test_read_events_returns_the_recorded_counts(tmp_path_factory, seed, trials, arms):
+    path = tmp_path_factory.mktemp("events") / "e.csv"
+    cfg = single_cfg(
+        detector_s=DetectorParams(eta=0.8, p_xt=0.2, n_max=400, dark_mean=0.1),
+        detector_i=DetectorParams(eta=0.3, p_xt=0.2, n_max=4, dark_mean=0.1),
+        source=SourceSpec("coherent", mean=30.0),
+        trials=trials,
+        seed=seed,
+    )
+    recorded = []
+    real = montecarlo._write_events
+
+    def recording(fh, start, recs):
+        recorded.extend(zip(range(start, start + recs[0].size), *(r.tolist() for r in recs)))
+        real(fh, start, recs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_write_events", recording)
+        if arms == 1:
+            simulate_single(cfg, events_path=str(path))
+        else:
+            simulate_independent(cfg, events_path=str(path))
+    events = read_events(path)
+    assert type(events) is list and len(events) == trials
+    assert all(type(e) is EventRecord for e in events)
+    if arms == 1:
+        recorded = [(*r, None) for r in recorded]
+    assert events == recorded
+    _assert_plain_ints(events, arms)
+
+
+def test_event_record_is_a_named_tuple():
+    record = EventRecord(4, 2)
+    assert record.counts_i is None
+    assert record == (4, 2, None)
+    pulse, counts_s, counts_i = EventRecord(5, 3, 1)
+    assert (pulse, counts_s, counts_i) == (5, 3, 1)
+    with pytest.raises(AttributeError):
+        record.counts_s = 1
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+@pytest.mark.parametrize("rows", [["0,3,", "1,0,", "2,7,"], ["0,3,1", "1,0,0", "2,7,2"]])
+def test_read_events_accepts_crlf_and_lf(tmp_path, line_end, rows):
+    path = tmp_path / "events.csv"
+    path.write_bytes(line_end.join(["pulse,counts_s,counts_i", *rows, ""]).encode())
+    events = read_events(path)
+    arms = 1 if rows[0].endswith(",") else 2
+    assert events == [
+        (int(p), int(s), int(i) if i else None) for p, s, i in (r.split(",") for r in rows)
+    ]
+    _assert_plain_ints(events, arms)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pulse,counts_s,counts_i\r\n0,3,\r\n1\r\n",
+        "pulse,counts_s,counts_i\r\n0,3,\r\n1,x,\r\n",
+        "pulse,counts_s,counts_i\r\n0,1,\r\n1,2,3\r\n",
+        "pulse,counts_s,counts_i\r\n0,1,2\r\n1,2,\r\n",
+        "pulse,counts_s\r\n0,1\r\n",
+        "pulse,counts_s,counts_i\r\n0,1,\r\n2,1,\r\n",
+        "pulse,counts_s,counts_i\r\n1,1,\r\n",
+        "pulse,counts_s,counts_i\r\n0,-1,\r\n",
+    ],
+    ids=[
+        "missing-field",
+        "non-integer-field",
+        "one-arm-then-two-arm-row",
+        "two-arm-then-one-arm-row",
+        "wrong-header",
+        "pulse-gap",
+        "pulse-not-from-zero",
+        "negative-field",
+    ],
+)
+def test_read_events_rejects_malformed_file_naming_it(tmp_path, text):
+    path = tmp_path / "events.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_events(path)
 
 
 @pytest.mark.parametrize("existing", [None, "old events\n"])
