@@ -9,6 +9,11 @@ on a thread pool sized to the CPUs the process may use (numpy's sampling
 loops release the interpreter lock), and the output is bit-identical for
 any worker count.
 
+An arm that has the source to itself (one arm, independent arms, sweeps)
+draws its primary avalanches, the photons that survive loss plus the dark
+avalanches, in one step from their exact law. Twin arms share the pair
+number, so each thins it with per-pulse loss and dark draws.
+
 Two crosstalk samplers are available. ``binomial`` lets every avalanche
 trigger at most one neighbor, which is exactly the analytic response
 matrix of :mod:`mppcsim.detector`. ``cascade`` lets every triggered
@@ -68,8 +73,8 @@ _STAGE_DARK_I = 6
 _STAGE_XT_I = 7
 
 _ARM_STAGES = {
-    "s": (_STAGE_QE_S, _STAGE_DARK_S, _STAGE_XT_S),
-    "i": (_STAGE_QE_I, _STAGE_DARK_I, _STAGE_XT_I),
+    "s": (_STAGE_SOURCE_S, _STAGE_QE_S, _STAGE_DARK_S, _STAGE_XT_S),
+    "i": (_STAGE_SOURCE_I, _STAGE_QE_I, _STAGE_DARK_I, _STAGE_XT_I),
 }
 
 
@@ -113,52 +118,45 @@ def _rng(seed: int, stage: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _chunks(trials: int):
-    start = 0
-    idx = 0
-    while start < trials:
-        size = min(CHUNK, trials - start)
-        yield idx, start, size
-        start += size
-        idx += 1
-
-
-def _source_cdf(spec: SourceSpec) -> np.ndarray:
-    cdf = np.cumsum(spec.distribution().probs)
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(probs)
     cdf[-1] = 1.0  # absorb the truncation residual in the top bin
     return cdf
 
 
-def _draw_photons(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(
-        np.int64, copy=False
-    )
+def _avalanche_cdf(spec: SourceSpec, det: DetectorParams) -> np.ndarray:
+    """CDF of the primary avalanches of an arm that has the source to
+    itself: the photons that survive loss plus the dark avalanches."""
+    probs = spec.after_loss(det.eta).probs
+    if det.dark_mean > 0:
+        dark = SourceSpec("coherent", det.dark_mean).distribution()
+        probs = np.convolve(probs, dark.probs)
+    return _cdf(probs)
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    u = rng.random(size)
+    return np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
 
 
 def _arm_channel(
-    photons: np.ndarray,
+    avalanches: np.ndarray,
     det: DetectorParams,
     mode: str,
     seed: int,
     chunk: int,
     arm: str,
 ) -> np.ndarray:
-    stage_qe, stage_dark, stage_xt = _ARM_STAGES[arm]
-    if det.eta < 1.0:
-        n = _rng(seed, stage_qe, chunk).binomial(photons, det.eta)
-    else:
-        n = photons.copy()  # twin arms share ``photons``
-    if det.dark_mean > 0:
-        n += _rng(seed, stage_dark, chunk).poisson(det.dark_mean, n.size)
+    """Crosstalk and the clamp at ``n_max``, in place on ``avalanches``."""
     if det.p_xt > 0:
-        rng = _rng(seed, stage_xt, chunk)
+        rng = _rng(seed, _ARM_STAGES[arm][3], chunk)
         if mode == "binomial":
-            n += rng.binomial(n, det.p_xt)
+            avalanches += rng.binomial(avalanches, det.p_xt)
         else:
             # numpy's negative_binomial rejects n = 0
-            pos = n > 0
-            n[pos] += rng.negative_binomial(n[pos], 1.0 - det.p_xt)
-    return np.minimum(n, det.n_max, out=n)
+            pos = avalanches > 0
+            avalanches[pos] += rng.negative_binomial(avalanches[pos], 1.0 - det.p_xt)
+    return np.minimum(avalanches, det.n_max, out=avalanches)
 
 
 def _write_events(fh, start: int, recs) -> None:
@@ -197,25 +195,31 @@ def _run_meta(config: SimulationConfig) -> dict:
     return meta
 
 
-def _run_chunk(config, dets, shared, cdf, chunk, size, keep_events):
-    """Draw one chunk of pulses and pass it through the signal arm and,
-    for two ``dets``, the idler arm (fed the same photons when ``shared``).
+def _run_chunk(config, dets, shared, cdfs, chunk, size, keep_events):
+    """Draw one chunk of pulses through the signal arm and, for two
+    ``dets``, the idler arm; return the chunk's flattened count table and,
+    if ``keep_events``, the recorded counts of each arm.
 
-    Returns the chunk's flattened count table and, if ``keep_events``, the
-    recorded counts of each arm.
+    ``cdfs`` holds each arm's primary-avalanche CDF or, when ``shared``,
+    the one source CDF whose photons both arms thin pulse by pulse.
     """
     mode, seed = config.crosstalk_mode, config.seed
     shape = [d.n_max + 1 for d in dets]
-    photons = _draw_photons(cdf, _rng(seed, _STAGE_SOURCE_S, chunk), size)
-    recs = [_arm_channel(photons, dets[0], mode, seed, chunk, "s")]
-    flat = recs[0]
-    if len(dets) == 2:
+    if shared:
+        photons = _draw(cdfs[0], _rng(seed, _STAGE_SOURCE_S, chunk), size)
+    recs = []
+    for j, (arm, det) in enumerate(zip("si", dets)):
+        stage_source, stage_qe, stage_dark, _ = _ARM_STAGES[arm]
         if not shared:
-            # keyed streams leave the draw order free; drawing the idler's
-            # photons only now keeps one photon array alive per chunk
-            photons = _draw_photons(cdf, _rng(seed, _STAGE_SOURCE_I, chunk), size)
-        recs.append(_arm_channel(photons, dets[1], mode, seed, chunk, "i"))
-        flat = recs[0] * shape[1] + recs[1]
+            n = _draw(cdfs[j], _rng(seed, stage_source, chunk), size)
+        elif det.eta < 1.0:
+            n = _rng(seed, stage_qe, chunk).binomial(photons, det.eta)
+        else:
+            n = photons.copy()
+        if shared and det.dark_mean > 0:
+            n += _rng(seed, stage_dark, chunk).poisson(det.dark_mean, size)
+        recs.append(_arm_channel(n, det, mode, seed, chunk, arm))
+    flat = recs[0] if len(dets) == 1 else recs[0] * shape[1] + recs[1]
     return np.bincount(flat, minlength=math.prod(shape)), recs if keep_events else None
 
 
@@ -229,7 +233,9 @@ def _simulate(config: SimulationConfig, arms: int, shared: bool, events_path):
     """
     dets = (config.detector_s, config.detector_i)[:arms]
     shape = tuple(d.n_max + 1 for d in dets)
-    cdf = _source_cdf(config.source)
+    cdfs = [_cdf(config.source.distribution().probs)] if shared else [
+        _avalanche_cdf(config.source, d) for d in dets
+    ]
     counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
     pending = deque()
     pool = ThreadPoolExecutor(_WORKERS)
@@ -237,8 +243,9 @@ def _simulate(config: SimulationConfig, arms: int, shared: bool, events_path):
         with atomic_open(events_path, newline="") if events_path else nullcontext() as fh:
             if fh is not None:
                 fh.write("pulse,counts_s,counts_i\r\n")
-            for chunk, start, size in _chunks(config.trials):
-                job = (config, dets, shared, cdf, chunk, size, fh is not None)
+            for chunk, start in enumerate(range(0, config.trials, CHUNK)):
+                size = min(CHUNK, config.trials - start)
+                job = (config, dets, shared, cdfs, chunk, size, fh is not None)
                 pending.append((start, pool.submit(_run_chunk, *job)))
                 last = start + size == config.trials
                 while pending and (last or len(pending) > _WORKERS):

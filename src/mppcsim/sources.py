@@ -111,6 +111,20 @@ class SourceSpec:
             return pmf_thermal(self.mean, k_max)
         return pmf_twin_multimode(self.mean, self.modes, k_max)
 
+    def after_loss(self, eta: float) -> PhotonNumberDistribution:
+        """Law after each photon survives with probability ``eta``, in closed
+        form: the same kind at mean ``eta * mean``, Binomial(n, eta) for
+        fock, and its own form for even_poisson."""
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError("eta must lie in [0, 1]")
+        if self.kind == "even_poisson":
+            return _pmf_even_after_loss(self.mean, eta, None)
+        if self.kind == "fock":
+            n = int(self.fock_n)
+            probs = stats.binom.pmf(np.arange(max(n, 1) + 1), n, eta)  # k_max >= 1
+            return PhotonNumberDistribution(probs, 0.0, float(n * eta))
+        return SourceSpec(self.kind, eta * self.mean, self.modes).distribution()
+
 
 def _extend_until(tail_of, k_request: int | None, k_floor: int) -> int:
     """Smallest cutoff >= the caller's request with tail mass below target."""
@@ -122,23 +136,25 @@ def _extend_until(tail_of, k_request: int | None, k_floor: int) -> int:
     return k
 
 
-def _finalize(probs: np.ndarray, mean_hint: float) -> PhotonNumberDistribution:
-    if probs.size < 2:
-        probs = np.concatenate([probs, np.zeros(2 - probs.size)])
+def _truncated(mean, var, law, params, k_max, weight=lambda k: 1.0, mean_hint=None):
+    """``law.pmf(k, *params()) * weight(k)`` for k = 0..k, with k from k_max up
+    until ``law.sf(k) * weight(0)`` bounds the tail below target; vacuum at
+    zero ``mean``. ``params`` and ``weight`` run once the mean is checked."""
+    if mean < 0:
+        raise ValueError("mean must be non-negative")
+    if mean == 0:
+        return PhotonNumberDistribution(np.array([1.0, 0.0]), 0.0, 0.0)
+    args = params()
+    floor = int(mean + 12 * math.sqrt(var) + 25)
+    k = _extend_until(lambda n: law.sf(n, *args) * weight(0), k_max, floor)
+    probs = law.pmf(np.arange(k + 1), *args) * weight(np.arange(k + 1))
     tail = max(0.0, 1.0 - float(probs.sum()))
-    return PhotonNumberDistribution(probs, tail, mean_hint)
+    return PhotonNumberDistribution(probs, tail, mean if mean_hint is None else mean_hint)
 
 
 def pmf_coherent(mean: float, k_max: int | None = None) -> PhotonNumberDistribution:
     """Poisson photon-number distribution of a coherent state."""
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
-    if mean == 0:
-        return _finalize(np.array([1.0, 0.0]), 0.0)
-    floor = int(mean + 12 * math.sqrt(mean) + 25)
-    k = _extend_until(lambda n: stats.poisson.sf(n, mean), k_max, floor)
-    probs = stats.poisson.pmf(np.arange(k + 1), mean)
-    return _finalize(probs, mean)
+    return _truncated(mean, mean, stats.poisson, lambda: (mean,), k_max)
 
 
 def pmf_even_poisson(mean: float, k_max: int | None = None) -> PhotonNumberDistribution:
@@ -148,35 +164,25 @@ def pmf_even_poisson(mean: float, k_max: int | None = None) -> PhotonNumberDistr
     normalizer; odd bins are exactly zero. Models single-mode squeezed
     vacuum at the photon-number level.
     """
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
-    if mean == 0:
-        return _finalize(np.array([1.0, 0.0]), 0.0)
-    z = (1.0 + math.exp(-2.0 * mean)) / 2.0
-    floor = int(mean + 12 * math.sqrt(mean) + 25)
-    k = _extend_until(lambda n: stats.poisson.sf(n, mean) / z, k_max, floor)
-    ks = np.arange(k + 1)
-    probs = np.where(ks % 2 == 0, stats.poisson.pmf(ks, mean) / z, 0.0)
-    return _finalize(probs, mean * math.tanh(mean))
+    return _pmf_even_after_loss(mean, 1.0, k_max)
 
 
-def _pmf_negbin(mean: float, r: float, k_max: int | None) -> PhotonNumberDistribution:
-    if mean == 0:
-        return _finalize(np.array([1.0, 0.0]), 0.0)
-    per_mode = mean / r
-    pr = 1.0 / (1.0 + per_mode)
-    sd = math.sqrt(mean * (1.0 + per_mode))
-    floor = int(mean + 12 * sd + 25)
-    k = _extend_until(lambda n: stats.nbinom.sf(n, r, pr), k_max, floor)
-    probs = stats.nbinom.pmf(np.arange(k + 1), r, pr)
-    return _finalize(probs, mean)
+def _pmf_even_after_loss(mean: float, eta: float, k_max) -> PhotonNumberDistribution:
+    """``pmf_even_poisson(mean)`` after binomial loss ``eta``, in closed form:
+    Poisson(eta*mean)(k) * (1 + (-1)^k exp(-2*mean*(1-eta))) / (1 + exp(-2*mean))."""
+    lam = eta * mean
+
+    def weight(k):
+        odd = math.exp(-2.0 * mean * (1.0 - eta))
+        return (1.0 + (-1.0) ** k * odd) / (1.0 + math.exp(-2.0 * mean))
+
+    hint = lam * math.tanh(mean)
+    return _truncated(lam, lam, stats.poisson, lambda: (lam,), k_max, weight, hint)
 
 
 def pmf_thermal(mean: float, k_max: int | None = None) -> PhotonNumberDistribution:
     """Single-mode thermal (geometric) distribution: P(n) = m^n/(1+m)^(n+1)."""
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
-    return _pmf_negbin(mean, 1.0, k_max)
+    return pmf_twin_multimode(mean, 1.0, k_max)
 
 
 def pmf_twin_multimode(
@@ -188,11 +194,13 @@ def pmf_twin_multimode(
     i.e. negative binomial; modes=1 reduces exactly to the thermal case,
     modes -> infinity approaches Poisson.
     """
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
     if modes < 1:
         raise ValueError("modes must be >= 1")
-    return _pmf_negbin(mean, float(modes), k_max)
+    r = float(modes)
+    return _truncated(
+        mean, mean * (1.0 + mean / r), stats.nbinom,
+        lambda: (r, 1.0 / (1.0 + mean / r)), k_max,
+    )
 
 
 def pmf_fock(n: int, k_max: int | None = None) -> PhotonNumberDistribution:

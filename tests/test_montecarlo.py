@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import re
 import time
@@ -188,6 +189,83 @@ def test_signal_arm_ignores_the_idler_arm(mode):
     single = simulate_single(cfg).counts
     joint = simulate_independent(replace(cfg, detector_i=det_i)).counts
     assert np.array_equal(single, joint.sum(axis=1))
+
+
+def _pooled_pvalue(observed, probs):
+    """Pearson chi-square p-value of counts against a law, pooling the
+    cells expected to hold fewer than 5 events into one."""
+    obs = np.asarray(observed, dtype=float).ravel()
+    exp = obs.sum() * np.asarray(probs, dtype=float).ravel()
+    big = exp >= 5
+    obs = np.append(obs[big], obs[~big].sum())
+    exp = np.append(exp[big], exp[~big].sum())
+    return stats.chi2.sf(((obs - exp) ** 2 / exp).sum(), obs.size - 1)
+
+
+UNSHARED_SOURCES = [
+    SourceSpec("coherent", mean=20.0),
+    SourceSpec("even_poisson", mean=12.0),
+    SourceSpec("fock", fock_n=9),
+    SourceSpec("thermal", mean=8.0),
+]
+
+
+@pytest.mark.parametrize("dark", [0.0, 0.3])
+@pytest.mark.parametrize("source", UNSHARED_SOURCES, ids=lambda s: s.kind)
+def test_unshared_arms_follow_the_analytic_channel(source, dark):
+    # each arm of simulate_independent against apply_channel, and the two
+    # arms independent of each other
+    det_s = DetectorParams(eta=0.2, p_xt=0.177, n_max=400, dark_mean=dark)
+    det_i = DetectorParams(eta=0.6, p_xt=0.3, n_max=12, dark_mean=dark)
+    cfg = single_cfg(
+        source=source, detector_s=det_s, detector_i=det_i, trials=3 * CHUNK + 11
+    )
+    joint = simulate_independent(cfg).counts
+    dist = source.distribution()
+    law = np.outer(apply_channel(dist, det_s).probs, apply_channel(dist, det_i).probs)
+    assert _pooled_pvalue(joint, law) > 1e-7
+
+
+def test_unshared_cascade_arm_matches_the_shared_twin_arm():
+    # a thermal arm drawn from its thinned law and a twin_thermal arm thinned
+    # pulse by pulse register the same counts in law
+    det = DetectorParams(eta=0.3, p_xt=0.25, n_max=30, dark_mean=0.2)
+    cfg = single_cfg(
+        source=SourceSpec("thermal", mean=6.0),
+        detector_s=det,
+        trials=3 * CHUNK,
+        crosstalk_mode="cascade",
+    )
+    single = simulate_single(cfg).counts
+    twin = simulate_twin(
+        replace(cfg, source=SourceSpec("twin_thermal", mean=6.0), detector_i=det, seed=12)
+    ).counts.sum(axis=1)
+    table = np.stack([single, twin])
+    keep = table.sum(axis=0) >= 10
+    table = np.column_stack([table[:, keep], table[:, ~keep].sum(axis=1)])
+    assert stats.chi2_contingency(table).pvalue > 1e-7
+
+
+def _digest(counts):
+    return hashlib.sha256(np.asarray(counts, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "kind, mode, digest",
+    [
+        ("single", "binomial", "8bac30fa1b15b3a3"),
+        ("independent", "cascade", "a0f009b90be1f56f"),
+        ("twin", "binomial", "9cd557dc7eae6ea7"),
+    ],
+)
+def test_outputs_are_pinned(kind, mode, digest):
+    # any change to the seed -> histogram mapping must show here
+    cfg = single_cfg(
+        detector_s=DetectorParams(eta=0.5, p_xt=0.15, n_max=12, dark_mean=0.05),
+        trials=CHUNK + 17,
+        crosstalk_mode=mode,
+    )
+    assert _digest(_run_kind(kind, cfg, None).counts) == digest
 
 
 def test_twin_requires_twin_source():

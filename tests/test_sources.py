@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mppcsim import (
     PhotonNumberDistribution,
@@ -174,3 +175,48 @@ def test_source_spec_dispatch():
         SourceSpec("coherent", mean=-1.0)
     with pytest.raises(ValueError):
         SourceSpec("twin_multimode", mean=1.0, modes=0.2)
+
+
+AFTER_LOSS_SPECS = [
+    SourceSpec("coherent", mean=3.0),
+    SourceSpec("even_poisson", mean=2.2),
+    SourceSpec("even_poisson", mean=25.0),
+    SourceSpec("fock", fock_n=5),
+    SourceSpec("fock", fock_n=0),
+    SourceSpec("thermal", mean=2.5),
+    SourceSpec("twin_thermal", mean=1.5),
+    SourceSpec("twin_multimode", mean=4.0, modes=3.5),
+]
+
+
+def _spec_id(spec):
+    return f"{spec.kind}-{spec.fock_n if spec.kind == 'fock' else spec.mean}"
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.2, 0.63, 1.0])
+@pytest.mark.parametrize("spec", AFTER_LOSS_SPECS, ids=_spec_id)
+def test_after_loss_matches_explicit_thinning(spec, eta):
+    # oracle: every photon of the source law survives with probability eta
+    full = spec.distribution()
+    k = np.arange(full.probs.size)
+    thinned = stats.binom.pmf(k[:, None], k[None, :], eta) @ full.probs
+    got = spec.after_loss(eta)
+    width = max(got.probs.size, thinned.size)
+    a = np.zeros(width)
+    a[: got.probs.size] = got.probs
+    b = np.zeros(width)
+    b[: thinned.size] = thinned
+    assert np.abs(a - b).max() <= 1e-12
+    assert got.tail_bound <= 1e-12
+    assert got.mean == pytest.approx(eta * full.mean, abs=1e-9)
+    assert got.mean_hint == pytest.approx(eta * full.mean_hint, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", AFTER_LOSS_SPECS, ids=_spec_id)
+def test_after_loss_at_unit_efficiency_is_the_source(spec):
+    full, kept = spec.distribution(), spec.after_loss(1.0)
+    assert np.array_equal(kept.probs, full.probs)
+    assert (kept.tail_bound, kept.mean_hint) == (full.tail_bound, full.mean_hint)
+    for eta in (-0.1, 1.1):
+        with pytest.raises(ValueError):
+            spec.after_loss(eta)
