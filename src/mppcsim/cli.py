@@ -19,6 +19,7 @@ from .calibration import fit_crosstalk
 from .detector import DetectorParams, build_povm, nrf_limit_coherent, nrf_limit_sv
 from .errors import UndefinedStatisticError
 from .estimators import (
+    _sweep_point,
     g2_from_histogram,
     mean_counts_per_pulse,
     nrf_from_joint,
@@ -111,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="run a canned study scenario")
     rep.add_argument("--figure", required=True, choices=FIGURES)
-    rep.add_argument("--scale", choices=["desk"], default="desk")
     rep.add_argument("--out", required=True)
     rep.add_argument("--seed", type=int, default=None)
     rep.add_argument("--pulses-per-point", type=int, default=200_000)
@@ -214,12 +214,7 @@ def _load_sweep(paths) -> SweepSeries:
         return io.read_g2_sweep(paths[0])
     if len(paths) < 3:
         raise CliError("calibration needs a sweep CSV or at least 3 histogram files")
-    points = []
-    for path in paths:
-        hist = io.read_histogram(path)
-        est = g2_from_histogram(hist)
-        points.append((mean_counts_per_pulse(hist), est.value, est.std_err))
-    return SweepSeries(np.asarray(points))
+    return SweepSeries(np.asarray([_sweep_point(io.read_histogram(path)) for path in paths]))
 
 
 def _cmd_calibrate(args) -> int:

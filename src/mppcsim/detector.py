@@ -2,26 +2,33 @@
 
 The channel from incident photon number k to recorded photocount N is a
 chain of Bayesian kernels: binomial detection loss (efficiency eta), an
-optional Poisson admixture of dark avalanches, a binomial crosstalk stage
-in which every avalanche can trigger at most one spurious neighbor, and a
-hard clamp at the saturation level n_max. The response matrix Q(N|k) built
-here is column-stochastic by construction; the saturation row is the
-completeness complement of all rows below it. Because crosstalk only ever
-adds counts, rows N >= n_max are never built: an avalanche number at or
-above n_max can only end in the saturation row, so it is never evaluated.
+optional Poisson admixture of dark avalanches, crosstalk, and a hard clamp
+at the saturation level n_max. The chain is written only here; the Monte
+Carlo of :mod:`mppcsim.montecarlo` draws from it. Of its two crosstalk
+laws, ``binomial`` lets every avalanche trigger at most one neighbour
+(a avalanches record a + Binom(a, p) counts), and ``cascade`` lets every
+triggered neighbour trigger further ones until extinction, geometric
+branching (a + NegBin(a, 1 - p) counts; Vinogradov, NIM A 695 (2012) 247).
+The response matrix Q(N|k) is column-stochastic by construction; the
+saturation row is the completeness complement of all rows below it.
+Because crosstalk only ever adds counts, rows N >= n_max are never built:
+an avalanche number at or above n_max can only end in the saturation row,
+so it is never evaluated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .errors import UndefinedStatisticError
 from .estimators import _nrf
-from .sources import PhotonNumberDistribution, pmf_coherent
+from .sources import PhotonNumberDistribution, _checked_probs, pmf_coherent
 
 _COMPLETENESS_TOL = 1e-10
+
+CROSSTALK_MODES = ("binomial", "cascade")
 
 
 @dataclass(frozen=True)
@@ -64,12 +71,10 @@ class PovmMatrix:
     k_max: int
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = _checked_probs(self.q, "response entries")
         object.__setattr__(self, "q", q)
         if q.shape != (self.params.n_max + 1, self.k_max + 1):
             raise ValueError("response matrix shape mismatch")
-        if np.any(q < -1e-15) or np.any(q > 1 + 1e-12):
-            raise ValueError("response entries must lie in [0, 1]")
         colsums = q.sum(axis=0)
         if np.any(np.abs(colsums - 1.0) > _COMPLETENESS_TOL):
             raise ValueError("response matrix columns must sum to 1")
@@ -82,12 +87,10 @@ class JointPhotocountDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = _checked_probs(self.probs, "joint entries")
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 2:
             raise ValueError("joint table must be a matrix")
-        if np.any(probs < -1e-15) or np.any(probs > 1 + 1e-12):
-            raise ValueError("joint entries must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > _COMPLETENESS_TOL:
             raise ValueError("joint table must sum to 1")
 
@@ -102,38 +105,66 @@ def build_povm(params: DetectorParams, k_max: int) -> PovmMatrix:
     return PovmMatrix(q, params, k_max)
 
 
-def channel_matrix(params: DetectorParams, k_max: int) -> np.ndarray:
+def channel_matrix(
+    params: DetectorParams, k_max: int, crosstalk_mode: str = "binomial"
+) -> np.ndarray:
     """Column-stochastic Q(N|k), N = 0..n_max, k = 0..k_max, including the
     dark-avalanche stage.
 
     Dark avalanches are injected after detection loss and participate in
-    crosstalk like photon avalanches; the saturation clamp acts last.
-    With dark_mean = 0 this is exactly the matrix of ``build_povm``.
+    crosstalk like photon avalanches, under the law ``crosstalk_mode``;
+    the saturation clamp acts last. With dark_mean = 0 and ``binomial``
+    crosstalk this is exactly the matrix of ``build_povm``.
 
-    Only the rows N < n_max are built. Crosstalk never lowers a count, so
-    these rows need only the avalanche numbers a < n_max, and a avalanches
-    reach at most 2a counts. Every other outcome lands in the saturation
-    row, the complement of the rows below it. The cost is O(n_max^2 k_max)
-    time and O(n_max k_max) memory.
+    Only the avalanche numbers a < n_max are built, since crosstalk never
+    lowers a count. The cost is O(n_max^2 k_max) time and O(n_max k_max)
+    memory.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n_max = params.n_max
     dark = pmf_coherent(params.dark_mean).probs
-    a_rows = min(n_max, k_max + dark.size)
+    a_rows = min(params.n_max, k_max + dark.size)
     a_all = np.arange(a_rows)
     qe = stats.binom.pmf(a_all[:, None], np.arange(k_max + 1)[None, :], params.eta)
     avalanches = np.zeros_like(qe)
     for d, w in enumerate(dark[:a_rows]):
         avalanches[d:, :] += w * qe[: a_rows - d, :]
+    return _crosstalk_and_clamp(avalanches, params.p_xt, params.n_max, crosstalk_mode)
 
-    n_rows = min(n_max, 2 * a_rows - 1)
-    big_n = np.arange(n_rows)
-    xt = stats.binom.pmf(big_n[:, None] - a_all[None, :], a_all[None, :], params.p_xt)
 
-    q = np.zeros((n_max + 1, k_max + 1))
-    q[:n_rows, :] = xt @ avalanches
-    q[n_max, :] = np.maximum(1.0 - q[:n_max, :].sum(axis=0), 0.0)
+def _crosstalk_and_clamp(avalanches, p: float, n_max: int, mode: str) -> np.ndarray:
+    """Law of the recorded count N = 0..n_max, after crosstalk under ``mode``
+    and the clamp, given the law of the avalanche number a along axis 0 of
+    ``avalanches`` (a vector, or one column per input).
+
+    The rows N < n_max need only a < n_max, and under ``binomial`` only
+    N <= 2a. Every other outcome, and any mass missing from
+    ``avalanches``, lands in the saturation row, the complement of the rows
+    below it.
+    """
+    if mode not in CROSSTALK_MODES:
+        raise ValueError(f"crosstalk_mode must be one of {CROSSTALK_MODES}")
+    a_rows = min(n_max, avalanches.shape[0])
+    a = np.arange(a_rows)[None, :]
+    if mode == "binomial":
+        n_rows = min(n_max, 2 * a_rows - 1)
+        xt = stats.binom.pmf(np.arange(n_rows)[:, None] - a, a, p)
+    else:
+        n_rows = n_max
+        big_n = np.arange(n_rows)[:, None]
+        extra = np.maximum(big_n - a, 0)
+        # C(N-1, a-1) (1-p)^a p^extra in logs (log_fact[m] = log m!): a fifth
+        # of the cost of stats.nbinom.pmf and within about 1e-13 of it
+        log_fact = special.gammaln(np.arange(1, n_rows + 1))
+        xt = np.exp(
+            log_fact[np.maximum(big_n - 1, 0)] - log_fact[np.maximum(a - 1, 0)]
+            - log_fact[extra] + special.xlogy(a, 1.0 - p) + special.xlogy(extra, p)
+        )
+        xt[(big_n < a) | (a == 0)] = 0.0
+        xt[0, 0] = 1.0  # no avalanche records no count
+    q = np.zeros((n_max + 1, *avalanches.shape[1:]))
+    q[:n_rows] = xt @ avalanches[:a_rows]
+    q[n_max] = np.maximum(1.0 - q[:n_max].sum(axis=0), 0.0)
     return q
 
 
@@ -157,6 +188,7 @@ def joint_photocount(
     pair_dist: PhotonNumberDistribution,
     params_s: DetectorParams,
     params_i: DetectorParams,
+    crosstalk_mode: str = "binomial",
 ) -> JointPhotocountDistribution:
     """Joint photocount table when both arms receive the same pair number.
 
@@ -164,8 +196,8 @@ def joint_photocount(
     so P(N_s, N_i) = sum_n P(n) Q_s(N_s|n) Q_i(N_i|n).
     """
     k_max = max(pair_dist.k_max, 1)
-    q_s = channel_matrix(params_s, k_max)
-    q_i = q_s if params_i == params_s else channel_matrix(params_i, k_max)
+    q_s = channel_matrix(params_s, k_max, crosstalk_mode)
+    q_i = q_s if params_i == params_s else channel_matrix(params_i, k_max, crosstalk_mode)
     joint = (q_s * pair_dist.probs[None, :]) @ q_i.T
     return JointPhotocountDistribution(joint)
 

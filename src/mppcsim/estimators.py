@@ -65,6 +65,12 @@ def mean_counts_per_pulse(hist: CountHistogram) -> float:
     return hist.total_counts / hist.trials
 
 
+def _sweep_point(hist: CountHistogram) -> tuple[float, float, float]:
+    """One g2 sweep row of a histogram: (mean counts per pulse, g2, g2 error)."""
+    est = g2_from_histogram(hist)
+    return mean_counts_per_pulse(hist), est.value, est.std_err
+
+
 def _bootstrap(joint: JointCountHistogram, stat, n_boot: int, seed, undefined: str):
     """Point value and multinomial-bootstrap error of ``stat``.
 

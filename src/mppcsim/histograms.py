@@ -13,15 +13,15 @@ _SUM_TOL = 1e-6
 
 
 def _checked_counts(trials, counts, ndim: int) -> np.ndarray:
-    """``counts`` as a float array, checked to be a non-negative ``ndim``-d
-    table that sums to the positive integer ``trials``."""
+    """``counts`` as a float array, checked to be a finite, non-negative
+    ``ndim``-d table that sums to the positive integer ``trials``."""
     if trials < 1 or int(trials) != trials:
         raise ValueError("trials must be a positive integer")
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != ndim or counts.size < 1:
         raise ValueError(f"counts must be a non-empty {ndim}-d array")
-    if np.any(counts < -1e-9):
-        raise ValueError("counts must be non-negative")
+    if not np.all(np.isfinite(counts)) or np.any(counts < -1e-9):
+        raise ValueError("counts must be finite and non-negative")
     total = counts.sum()
     if abs(total - trials) > _SUM_TOL * max(1.0, trials):
         raise ValueError(f"counts sum {total} inconsistent with trials {trials}")

@@ -9,21 +9,16 @@ on a thread pool sized to the CPUs the process may use (numpy's sampling
 loops release the interpreter lock), and the output is bit-identical for
 any worker count.
 
-An arm that has the source to itself (one arm, independent arms, sweeps)
-draws its primary avalanches, the photons that survive loss plus the dark
-avalanches, in one step from their exact law. Twin arms share the pair
-number, so each thins it with per-pulse loss and dark draws.
-
-Two crosstalk samplers are available. ``binomial`` lets every avalanche
-trigger at most one neighbor, which is exactly the analytic response
-matrix of :mod:`mppcsim.detector`. ``cascade`` lets every triggered
-neighbor trigger further neighbors until extinction (geometric
-branching). It agrees with the histogram-level algebra of
+Every pulse is drawn in one step from the exact law of its recorded
+counts, built once per run from the one detector chain of
+:mod:`mppcsim.detector`, in either of its crosstalk laws. An arm that has
+the source to itself (one arm, independent arms, sweeps) applies the
+chain's crosstalk and clamp to its primary avalanches: the photons that
+survive loss plus the dark avalanches. Twin arms share the pair number, so
+they draw one cell of the joint table of ``joint_photocount``. The
+``cascade`` law agrees with the histogram-level algebra of
 :mod:`mppcsim.crosstalk` to first order in p only: a single avalanche
-reaches 2 counts with probability p(1 - p) here and p in the algebra. Under
-geometric branching n avalanches register as n + NegBin(n, 1 - p)
-counts, so the cascade is one negative-binomial draw per pulse, equal in
-law to following the branching generation by generation.
+reaches 2 counts with probability p(1 - p) here and p in the algebra.
 
 One chunk loop serves one arm and two. The main thread merges the
 chunks' counts and writes the optional per-pulse event stream strictly in
@@ -45,15 +40,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector import DetectorParams
-from .estimators import g2_from_histogram, mean_counts_per_pulse
+from .detector import CROSSTALK_MODES, DetectorParams, _crosstalk_and_clamp, joint_photocount
+from .estimators import _sweep_point
 from .histograms import CountHistogram, JointCountHistogram, SweepSeries
 from .io import atomic_open
-from .sources import SourceSpec
+from .sources import SourceSpec, pmf_coherent
 
 CHUNK = 1 << 16
-
-CROSSTALK_MODES = ("binomial", "cascade")
 
 # chunk-pool threads: the CPUs this process may run on
 _WORKERS = (
@@ -62,20 +55,9 @@ _WORKERS = (
     else os.cpu_count() or 1
 )
 
-# stage tags for the keyed RNG streams
-_STAGE_SOURCE_S = 0
-_STAGE_QE_S = 1
-_STAGE_DARK_S = 2
-_STAGE_XT_S = 3
-_STAGE_SOURCE_I = 4
-_STAGE_QE_I = 5
-_STAGE_DARK_I = 6
-_STAGE_XT_I = 7
-
-_ARM_STAGES = {
-    "s": (_STAGE_SOURCE_S, _STAGE_QE_S, _STAGE_DARK_S, _STAGE_XT_S),
-    "i": (_STAGE_SOURCE_I, _STAGE_QE_I, _STAGE_DARK_I, _STAGE_XT_I),
-}
+# stage tags of the keyed RNG streams: the signal arm's (or the twin
+# table's) draw and the idler arm's draw
+_STAGES = (0, 4)
 
 
 @dataclass(frozen=True)
@@ -120,43 +102,23 @@ def _rng(seed: int, stage: int, chunk: int) -> np.random.Generator:
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs)
-    cdf[-1] = 1.0  # absorb the truncation residual in the top bin
+    cdf[-1] = 1.0  # absorb rounding and any truncation residual in the last cell
     return cdf
 
 
-def _avalanche_cdf(spec: SourceSpec, det: DetectorParams) -> np.ndarray:
-    """CDF of the primary avalanches of an arm that has the source to
-    itself: the photons that survive loss plus the dark avalanches."""
-    probs = spec.after_loss(det.eta).probs
-    if det.dark_mean > 0:
-        dark = SourceSpec("coherent", det.dark_mean).distribution()
-        probs = np.convolve(probs, dark.probs)
-    return _cdf(probs)
+def _recorded_law(spec: SourceSpec, det: DetectorParams, mode: str) -> np.ndarray:
+    """Law of the recorded counts of an arm that has the source to itself:
+    its primary avalanches, the photons that survive loss convolved with
+    the dark avalanches, through the detector's crosstalk and clamp."""
+    avalanches = np.convolve(
+        spec.after_loss(det.eta).probs, pmf_coherent(det.dark_mean).probs
+    )
+    return _crosstalk_and_clamp(avalanches, det.p_xt, det.n_max, mode)
 
 
 def _draw(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     u = rng.random(size)
     return np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
-
-
-def _arm_channel(
-    avalanches: np.ndarray,
-    det: DetectorParams,
-    mode: str,
-    seed: int,
-    chunk: int,
-    arm: str,
-) -> np.ndarray:
-    """Crosstalk and the clamp at ``n_max``, in place on ``avalanches``."""
-    if det.p_xt > 0:
-        rng = _rng(seed, _ARM_STAGES[arm][3], chunk)
-        if mode == "binomial":
-            avalanches += rng.binomial(avalanches, det.p_xt)
-        else:
-            # numpy's negative_binomial rejects n = 0
-            pos = avalanches > 0
-            avalanches[pos] += rng.negative_binomial(avalanches[pos], 1.0 - det.p_xt)
-    return np.minimum(avalanches, det.n_max, out=avalanches)
 
 
 def _write_events(fh, start: int, recs) -> None:
@@ -195,32 +157,24 @@ def _run_meta(config: SimulationConfig) -> dict:
     return meta
 
 
-def _run_chunk(config, dets, shared, cdfs, chunk, size, keep_events):
-    """Draw one chunk of pulses through the signal arm and, for two
-    ``dets``, the idler arm; return the chunk's flattened count table and,
-    if ``keep_events``, the recorded counts of each arm.
-
-    ``cdfs`` holds each arm's primary-avalanche CDF or, when ``shared``,
-    the one source CDF whose photons both arms thin pulse by pulse.
-    """
-    mode, seed = config.crosstalk_mode, config.seed
-    shape = [d.n_max + 1 for d in dets]
+def _laws(config: SimulationConfig, dets, shared: bool) -> list:
+    """The CDFs each chunk draws from: one per arm of ``dets``, or for
+    ``shared`` arms one over the flattened (N_s, N_i) joint table."""
+    source, mode = config.source, config.crosstalk_mode
     if shared:
-        photons = _draw(cdfs[0], _rng(seed, _STAGE_SOURCE_S, chunk), size)
-    recs = []
-    for j, (arm, det) in enumerate(zip("si", dets)):
-        stage_source, stage_qe, stage_dark, _ = _ARM_STAGES[arm]
-        if not shared:
-            n = _draw(cdfs[j], _rng(seed, stage_source, chunk), size)
-        elif det.eta < 1.0:
-            n = _rng(seed, stage_qe, chunk).binomial(photons, det.eta)
-        else:
-            n = photons.copy()
-        if shared and det.dark_mean > 0:
-            n += _rng(seed, stage_dark, chunk).poisson(det.dark_mean, size)
-        recs.append(_arm_channel(n, det, mode, seed, chunk, arm))
-    flat = recs[0] if len(dets) == 1 else recs[0] * shape[1] + recs[1]
-    return np.bincount(flat, minlength=math.prod(shape)), recs if keep_events else None
+        joint = joint_photocount(source.distribution(), *dets, crosstalk_mode=mode)
+        return [_cdf(joint.probs.ravel())]
+    return [_cdf(_recorded_law(source, det, mode)) for det in dets]
+
+
+def _run_chunk(cdfs, shape, seed, chunk, size, keep_events):
+    """Draw one chunk of pulses, one recorded count (or twin cell) per CDF
+    in ``cdfs``; return the chunk's flattened count table of ``shape`` and,
+    if ``keep_events``, the recorded counts of each arm."""
+    draws = [_draw(cdf, _rng(seed, stage, chunk), size) for cdf, stage in zip(cdfs, _STAGES)]
+    flat = draws[0] if len(draws) == 1 else draws[0] * shape[1] + draws[1]
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    return counts, np.unravel_index(flat, shape) if keep_events else None
 
 
 def _simulate(config: SimulationConfig, arms: int, shared: bool, events_path):
@@ -233,10 +187,8 @@ def _simulate(config: SimulationConfig, arms: int, shared: bool, events_path):
     """
     dets = (config.detector_s, config.detector_i)[:arms]
     shape = tuple(d.n_max + 1 for d in dets)
-    cdfs = [_cdf(config.source.distribution().probs)] if shared else [
-        _avalanche_cdf(config.source, d) for d in dets
-    ]
-    counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    cdfs = _laws(config, dets, shared)
+    counts = np.zeros(math.prod(shape), dtype=np.int64)
     pending = deque()
     pool = ThreadPoolExecutor(_WORKERS)
     try:
@@ -245,7 +197,7 @@ def _simulate(config: SimulationConfig, arms: int, shared: bool, events_path):
                 fh.write("pulse,counts_s,counts_i\r\n")
             for chunk, start in enumerate(range(0, config.trials, CHUNK)):
                 size = min(CHUNK, config.trials - start)
-                job = (config, dets, shared, cdfs, chunk, size, fh is not None)
+                job = (cdfs, shape, config.seed, chunk, size, fh is not None)
                 pending.append((start, pool.submit(_run_chunk, *job)))
                 last = start + size == config.trials
                 while pending and (last or len(pending) > _WORKERS):
@@ -364,9 +316,7 @@ def sweep(config: SimulationConfig, intensities) -> SweepSeries:
             source=replace(config.source, mean=float(mean)),
             seed=_subseed(config.seed, idx),
         )
-        hist = simulate_single(cfg)
-        est = g2_from_histogram(hist)
-        points.append((mean_counts_per_pulse(hist), est.value, est.std_err))
+        points.append(_sweep_point(simulate_single(cfg)))
     meta = _run_meta(config)
     meta["mean"] = [float(v) for v in grid]
     return SweepSeries(np.array(points), meta=meta)

@@ -32,6 +32,16 @@ SOURCE_KINDS = (
 TWIN_KINDS = ("twin_thermal", "twin_multimode")
 
 
+def _checked_probs(probs, what: str, slack: float = 1e-12) -> np.ndarray:
+    """``probs`` as a float array, checked to be finite and to lie in
+    [0, 1] up to rounding (``slack`` above 1)."""
+    probs = np.asarray(probs, dtype=float)
+    # the comparisons are false for NaN, so NaN and inf entries fail too
+    if not np.all((probs >= -1e-15) & (probs <= 1.0 + slack)):
+        raise ValueError(f"{what} must be finite and lie in [0, 1]")
+    return probs
+
+
 @dataclass(frozen=True)
 class PhotonNumberDistribution:
     """Truncated probability vector over photon number k = 0..k_max.
@@ -45,17 +55,15 @@ class PhotonNumberDistribution:
     mean_hint: float = float("nan")
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = _checked_probs(self.probs, "probabilities", slack=1e-15)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError("probs must be a vector covering k_max >= 1")
-        if np.any(probs < -1e-15) or np.any(probs > 1 + 1e-15):
-            raise ValueError("probabilities must lie in [0, 1]")
         probs = np.clip(probs, 0.0, 1.0)
         object.__setattr__(self, "probs", probs)
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be non-negative")
         total = probs.sum() + self.tail_bound
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"distribution not normalized: mass {total!r}")
 
     @property

@@ -133,6 +133,25 @@ def test_povm_matrix_validates():
     bad[0, 0] = 0.5
     with pytest.raises(ValueError):
         PovmMatrix(bad, params, 3)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PovmMatrix(np.full_like(good.q, value), params, 3)
+        bad = good.q.copy()
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            PovmMatrix(bad, params, 3)
+
+
+def test_joint_table_validates():
+    with pytest.raises(ValueError):
+        JointPhotocountDistribution(np.full((2, 2), 0.3))  # mass 1.2
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            JointPhotocountDistribution(np.full((3, 3), value))
+        table = np.full((2, 2), 0.25)
+        table[0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            JointPhotocountDistribution(table)
 
 
 def test_apply_channel_fock_fixture():
@@ -206,8 +225,10 @@ def test_dark_free_channel_equals_povm():
     assert np.array_equal(channel_matrix(params, 12), build_povm(params, 12).q)
 
 
-def full_grid_response(eta, p, n_max, k_max, dark_mean):
-    """Oracle: every avalanche row and all 2a+1 crosstalk rows, then the clamp."""
+def full_grid_response(eta, p, n_max, k_max, dark_mean, mode="binomial"):
+    """Oracle: every avalanche row and, for ``binomial`` crosstalk, all 2a+1
+    crosstalk rows (for ``cascade``, every row below the clamp), then the
+    clamp."""
     ks = np.arange(k_max + 1)
     qe = stats.binom.pmf(ks[:, None], ks[None, :], eta)
     dark = pmf_coherent(dark_mean).probs
@@ -215,8 +236,15 @@ def full_grid_response(eta, p, n_max, k_max, dark_mean):
     for d, w in enumerate(dark):
         avalanches[d : d + k_max + 1, :] += w * qe
     a_all = np.arange(avalanches.shape[0])
-    big_n = np.arange(2 * a_all[-1] + 1)
-    xt = stats.binom.pmf(big_n[:, None] - a_all[None, :], a_all[None, :], p)
+    if mode == "binomial":
+        big_n = np.arange(2 * a_all[-1] + 1)
+        xt = stats.binom.pmf(big_n[:, None] - a_all[None, :], a_all[None, :], p)
+    else:
+        big_n = np.arange(n_max)
+        xt = np.zeros((n_max, a_all.size))
+        xt[0, 0] = 1.0
+        a = a_all[None, 1:]
+        xt[:, 1:] = stats.nbinom.pmf(big_n[:, None] - a, a, 1.0 - p)
     unsat = xt @ avalanches
     q = np.zeros((n_max + 1, k_max + 1))
     rows = min(n_max, unsat.shape[0])
@@ -232,20 +260,53 @@ def full_grid_response(eta, p, n_max, k_max, dark_mean):
     n_max=st.integers(1, 400),
     k_max=st.integers(1, 600),
     dark_mean=st.sampled_from([0.0, 0.1, 5.0]),
+    crosstalk_mode=st.sampled_from(["binomial", "cascade"]),
 )
-@example(eta=0.6, p=0.3, n_max=400, k_max=3, dark_mean=5.0)  # n_max > 2(k_max + dark rows)
-@example(eta=0.6, p=0.3, n_max=20, k_max=3, dark_mean=0.0)
-@example(eta=0.6, p=0.3, n_max=1, k_max=50, dark_mean=0.1)
-@example(eta=0.0, p=0.5, n_max=7, k_max=30, dark_mean=0.1)
-@example(eta=1.0, p=0.5, n_max=7, k_max=30, dark_mean=0.0)
-@example(eta=1.0, p=0.0, n_max=40, k_max=30, dark_mean=5.0)
-def test_channel_matrix_matches_full_grid(eta, p, n_max, k_max, dark_mean):
+@example(eta=0.6, p=0.3, n_max=400, k_max=3, dark_mean=5.0, crosstalk_mode="binomial")
+@example(eta=0.6, p=0.3, n_max=20, k_max=3, dark_mean=0.0, crosstalk_mode="binomial")
+@example(eta=0.6, p=0.3, n_max=1, k_max=50, dark_mean=0.1, crosstalk_mode="binomial")
+@example(eta=0.0, p=0.5, n_max=7, k_max=30, dark_mean=0.1, crosstalk_mode="binomial")
+@example(eta=1.0, p=0.5, n_max=7, k_max=30, dark_mean=0.0, crosstalk_mode="binomial")
+@example(eta=1.0, p=0.0, n_max=40, k_max=30, dark_mean=5.0, crosstalk_mode="binomial")
+@example(eta=0.6, p=0.3, n_max=400, k_max=3, dark_mean=5.0, crosstalk_mode="cascade")
+@example(eta=0.6, p=0.3, n_max=1, k_max=50, dark_mean=0.1, crosstalk_mode="cascade")
+@example(eta=1.0, p=0.0, n_max=40, k_max=30, dark_mean=5.0, crosstalk_mode="cascade")
+@example(eta=0.2, p=0.6, n_max=400, k_max=600, dark_mean=0.1, crosstalk_mode="cascade")
+def test_channel_matrix_matches_full_grid(eta, p, n_max, k_max, dark_mean, crosstalk_mode):
     params = DetectorParams(eta, p, n_max, dark_mean, pixel_count=n_max)
-    q = channel_matrix(params, k_max)
-    ref = full_grid_response(eta, p, n_max, k_max, dark_mean)
+    q = channel_matrix(params, k_max, crosstalk_mode)
+    ref = full_grid_response(eta, p, n_max, k_max, dark_mean, crosstalk_mode)
     assert q.shape == ref.shape
-    assert np.max(np.abs(q - ref)) <= 1e-13
+    # the package builds the cascade rows in logs, the oracle with scipy
+    assert np.max(np.abs(q - ref)) <= (1e-13 if crosstalk_mode == "binomial" else 1e-12)
     assert np.all(np.abs(q.sum(axis=0) - 1.0) <= 1e-12)
+
+
+def test_channel_matrix_rejects_unknown_crosstalk_mode():
+    with pytest.raises(ValueError, match="crosstalk_mode"):
+        channel_matrix(DetectorParams(eta=0.5, p_xt=0.1, n_max=4), 3, "paper")
+    with pytest.raises(ValueError, match="crosstalk_mode"):
+        joint_photocount(pmf_fock(1), DetectorParams(eta=0.5), DetectorParams(eta=0.5), "x")
+
+
+@pytest.mark.parametrize("a", [1, 3, 8])
+def test_cascade_columns_match_generational_branching(a):
+    # independent reference: every avalanche triggers one more with
+    # probability p, generation by generation, until the chain dies out
+    p, n_max, trials = 0.35, 60, 200_000
+    rng = np.random.default_rng(1000 + a)
+    total = np.full(trials, a)
+    active = total.copy()
+    while active.any():
+        active = rng.binomial(active, p)
+        total += active
+    observed = np.bincount(np.minimum(total, n_max), minlength=n_max + 1)
+    column = channel_matrix(DetectorParams(eta=1.0, p_xt=p, n_max=n_max), a, "cascade")[:, a]
+    expected = trials * column
+    big = expected >= 5
+    obs = np.append(observed[big], observed[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    assert stats.chi2.sf(((obs - exp) ** 2 / exp).sum(), obs.size - 1) > 1e-7
 
 
 def test_joint_photocount_fixtures():

@@ -268,3 +268,8 @@ def test_histogram_validation():
         CountHistogram(0, np.array([0]))
     with pytest.raises(ValueError):
         JointCountHistogram(5, np.ones((2, 2)))
+    for bad in ([np.nan, 3.0], [np.inf, 3.0], [-np.inf, 3.0]):
+        with pytest.raises(ValueError, match="finite"):
+            CountHistogram(3, np.array(bad))
+    with pytest.raises(ValueError, match="finite"):
+        JointCountHistogram(4, np.array([[np.nan, 2.0], [1.0, 1.0]]))

@@ -17,7 +17,9 @@ from mppcsim import (
     SimulationConfig,
     SourceSpec,
     build_povm,
+    channel_matrix,
     g2_cross_from_joint,
+    joint_photocount,
     mean_counts_per_pulse,
     nrf_from_joint,
     pmf_coherent,
@@ -210,20 +212,52 @@ UNSHARED_SOURCES = [
 ]
 
 
-@pytest.mark.parametrize("dark", [0.0, 0.3])
-@pytest.mark.parametrize("source", UNSHARED_SOURCES, ids=lambda s: s.kind)
-def test_unshared_arms_follow_the_analytic_channel(source, dark):
-    # each arm of simulate_independent against apply_channel, and the two
-    # arms independent of each other
+@pytest.mark.parametrize(
+    "source, dark, mode",
+    [
+        # binomial cases carry no mode suffix, so their ids stay stable
+        pytest.param(source, dark, mode, id=f"{source.kind}-{dark}{suffix}")
+        for mode, suffix in (("binomial", ""), ("cascade", "-cascade"))
+        for source in UNSHARED_SOURCES
+        for dark in (0.0, 0.3)
+    ],
+)
+def test_unshared_arms_follow_the_analytic_channel(source, dark, mode):
+    # simulate_single and each arm of simulate_independent against the
+    # channel matrix, and the two arms independent of each other
     det_s = DetectorParams(eta=0.2, p_xt=0.177, n_max=400, dark_mean=dark)
     det_i = DetectorParams(eta=0.6, p_xt=0.3, n_max=12, dark_mean=dark)
     cfg = single_cfg(
-        source=source, detector_s=det_s, detector_i=det_i, trials=3 * CHUNK + 11
+        source=source, detector_s=det_s, detector_i=det_i, trials=3 * CHUNK + 11,
+        crosstalk_mode=mode,
     )
     joint = simulate_independent(cfg).counts
     dist = source.distribution()
-    law = np.outer(apply_channel(dist, det_s).probs, apply_channel(dist, det_i).probs)
-    assert _pooled_pvalue(joint, law) > 1e-7
+    law_s, law_i = (channel_matrix(det, dist.k_max, mode) @ dist.probs for det in (det_s, det_i))
+    assert _pooled_pvalue(joint, np.outer(law_s, law_i)) > 1e-7
+    single = simulate_single(replace(cfg, detector_i=None, seed=cfg.seed + 1)).counts
+    assert _pooled_pvalue(single, law_s) > 1e-7
+
+
+TWIN_SOURCES = [
+    SourceSpec("twin_thermal", mean=3.0),
+    SourceSpec("twin_multimode", mean=5.0, modes=3.0),
+    SourceSpec("fock", fock_n=6),
+]
+
+
+@pytest.mark.parametrize("mode", ["binomial", "cascade"])
+@pytest.mark.parametrize("source", TWIN_SOURCES, ids=lambda s: s.kind)
+def test_twin_arms_follow_the_joint_channel(source, mode):
+    det_s = DetectorParams(eta=0.3, p_xt=0.2, n_max=30, dark_mean=0.1)
+    det_i = DetectorParams(eta=0.6, p_xt=0.3, n_max=12, dark_mean=0.2)
+    cfg = single_cfg(
+        source=source, detector_s=det_s, detector_i=det_i, trials=3 * CHUNK + 11,
+        crosstalk_mode=mode,
+    )
+    joint = simulate_twin(cfg).counts
+    law = joint_photocount(source.distribution(), det_s, det_i, crosstalk_mode=mode)
+    assert _pooled_pvalue(joint, law.probs) > 1e-7
 
 
 def test_unshared_cascade_arm_matches_the_shared_twin_arm():
@@ -253,9 +287,9 @@ def _digest(counts):
 @pytest.mark.parametrize(
     "kind, mode, digest",
     [
-        ("single", "binomial", "8bac30fa1b15b3a3"),
-        ("independent", "cascade", "a0f009b90be1f56f"),
-        ("twin", "binomial", "9cd557dc7eae6ea7"),
+        ("single", "binomial", "00eda7537172584a"),
+        ("independent", "cascade", "423e7ccd8ac9df39"),
+        ("twin", "binomial", "6b3f109fca24c3cd"),
     ],
 )
 def test_outputs_are_pinned(kind, mode, digest):
@@ -535,14 +569,14 @@ def test_read_events_rejects_malformed_file_naming_it(tmp_path, text):
 
 @pytest.mark.parametrize("existing", [None, "old events\n"])
 def test_interrupted_run_leaves_no_event_file(tmp_path, monkeypatch, existing):
-    real = montecarlo._arm_channel
+    real = montecarlo._run_chunk
 
-    def fail_on_second_chunk(photons, det, mode, seed, chunk, arm):
+    def fail_on_second_chunk(cdfs, shape, seed, chunk, size, keep_events):
         if chunk == 1:
             raise RuntimeError("interrupted")
-        return real(photons, det, mode, seed, chunk, arm)
+        return real(cdfs, shape, seed, chunk, size, keep_events)
 
-    monkeypatch.setattr(montecarlo, "_arm_channel", fail_on_second_chunk)
+    monkeypatch.setattr(montecarlo, "_run_chunk", fail_on_second_chunk)
     path = tmp_path / "events.csv"
     if existing is not None:
         path.write_text(existing)
@@ -619,13 +653,13 @@ def test_chunk_split_invariance(seed, trials, workers, mode):
 def test_chunks_start_at_most_one_window_ahead_of_the_merge(
     tmp_path, monkeypatch, workers
 ):
-    real = montecarlo._arm_channel
+    real = montecarlo._run_chunk
     merged = [0]
     unmerged_at_start = []
 
-    def counting_channel(photons, det, mode, seed, chunk, arm):
+    def counting_chunk(cdfs, shape, seed, chunk, size, keep_events):
         unmerged_at_start.append(chunk + 1 - merged[0])
-        return real(photons, det, mode, seed, chunk, arm)
+        return real(cdfs, shape, seed, chunk, size, keep_events)
 
     def slow_merge(fh, start, recs):
         # a merge slower than a chunk lets an unbounded pool run far ahead
@@ -633,7 +667,7 @@ def test_chunks_start_at_most_one_window_ahead_of_the_merge(
         merged[0] += 1
 
     monkeypatch.setattr(montecarlo, "_WORKERS", workers)
-    monkeypatch.setattr(montecarlo, "_arm_channel", counting_channel)
+    monkeypatch.setattr(montecarlo, "_run_chunk", counting_chunk)
     monkeypatch.setattr(montecarlo, "_write_events", slow_merge)
     simulate_single(single_cfg(trials=10 * CHUNK), events_path=str(tmp_path / "e.csv"))
     assert merged[0] == len(unmerged_at_start) == 10

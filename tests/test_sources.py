@@ -160,6 +160,11 @@ def test_distribution_invariants_enforced():
         PhotonNumberDistribution(np.array([0.5, 0.1]))  # mass missing
     with pytest.raises(ValueError):
         PhotonNumberDistribution(np.array([1.0]))  # k_max < 1
+    for bad in ([np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            PhotonNumberDistribution(np.array(bad))
+    with pytest.raises(ValueError):
+        PhotonNumberDistribution(np.array([1.0, 0.0]), tail_bound=np.nan)
 
 
 def test_source_spec_dispatch():
