@@ -9,18 +9,18 @@ laws, ``binomial`` lets every avalanche trigger at most one neighbour
 (a avalanches record a + Binom(a, p) counts), and ``cascade`` lets every
 triggered neighbour trigger further ones until extinction, geometric
 branching (a + NegBin(a, 1 - p) counts; Vinogradov, NIM A 695 (2012) 247).
-The response matrix Q(N|k) is column-stochastic by construction; the
-saturation row is the completeness complement of all rows below it.
-Because crosstalk only ever adds counts, rows N >= n_max are never built:
-an avalanche number at or above n_max can only end in the saturation row,
-so it is never evaluated.
+It runs in two stages, the avalanche law (loss plus dark) and crosstalk
+with the clamp; the binomial kernels are built by Pascal's rule. The
+response matrix Q(N|k) is column-stochastic: the saturation row is the
+complement of the rows below it. Crosstalk only adds counts, so avalanche
+numbers a >= n_max, which can only saturate, are never evaluated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import UndefinedStatisticError
 from .estimators import _nrf
@@ -52,12 +52,13 @@ class DetectorParams:
             raise ValueError("eta must lie in [0, 1]")
         if not 0.0 <= self.p_xt < 1.0:
             raise ValueError("p_xt must lie in [0, 1)")
-        if self.n_max < 1 or int(self.n_max) != self.n_max:
+        # chained comparisons are false for NaN, and the upper bound rejects inf
+        if not 1 <= self.n_max < np.inf or int(self.n_max) != self.n_max:
             raise ValueError("n_max must be an integer >= 1")
-        if self.dark_mean < 0:
-            raise ValueError("dark_mean must be non-negative")
-        if self.pixel_count < 1:
-            raise ValueError("pixel_count must be >= 1")
+        if not 0.0 <= self.dark_mean < np.inf:
+            raise ValueError("dark_mean must be finite and non-negative")
+        if not 1 <= self.pixel_count < np.inf:
+            raise ValueError("pixel_count must be finite and >= 1")
         if self.n_max > self.pixel_count:
             raise ValueError("n_max cannot exceed pixel_count")
 
@@ -116,20 +117,42 @@ def channel_matrix(
     the saturation clamp acts last. With dark_mean = 0 and ``binomial``
     crosstalk this is exactly the matrix of ``build_povm``.
 
-    Only the avalanche numbers a < n_max are built, since crosstalk never
-    lowers a count. The cost is O(n_max^2 k_max) time and O(n_max k_max)
-    memory.
+    The stages are the avalanche law, then crosstalk and clamp. The cost is
+    O(n_max^2 k_max) time and O(n_max k_max) memory; ``apply_channel``
+    sends one vector through the same stages in O(n_max k_max).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    return _crosstalk_and_clamp(_avalanches(params, k_max), params.p_xt, params.n_max,
+                                crosstalk_mode)
+
+
+def _binom_columns(rows: int, cols: int, p: float) -> np.ndarray:
+    """M[j, k] = P(Binom(k, p) = j) for j < rows, k <= cols, by Pascal's
+    rule one column per step: every entry is a sum of non-negative terms."""
+    q = 1.0 - p
+    p = 1.0 - q  # exact, so q + p == 1 and the columns keep their mass
+    m = np.zeros((cols + 1, rows))
+    m[0, 0] = 1.0
+    for k in range(1, cols + 1):
+        m[k] = q * m[k - 1]
+        m[k, 1:] += p * m[k - 1, :-1]
+    return m.T
+
+
+def _avalanches(params: DetectorParams, k_max: int, photons=None) -> np.ndarray:
+    """Law of the primary avalanche number a < n_max, the photons that
+    survive loss plus the dark avalanches: one column per photon number
+    k = 0..k_max, or, given the photon-number law ``photons``, its vector."""
     dark = pmf_coherent(params.dark_mean).probs
     a_rows = min(params.n_max, k_max + dark.size)
-    a_all = np.arange(a_rows)
-    qe = stats.binom.pmf(a_all[:, None], np.arange(k_max + 1)[None, :], params.eta)
-    avalanches = np.zeros_like(qe)
+    survivors = _binom_columns(a_rows, k_max, params.eta)
+    if photons is not None:
+        survivors = survivors @ photons
+    avalanches = np.zeros_like(survivors)
     for d, w in enumerate(dark[:a_rows]):
-        avalanches[d:, :] += w * qe[: a_rows - d, :]
-    return _crosstalk_and_clamp(avalanches, params.p_xt, params.n_max, crosstalk_mode)
+        avalanches[d:] += w * survivors[: a_rows - d]
+    return avalanches
 
 
 def _crosstalk_and_clamp(avalanches, p: float, n_max: int, mode: str) -> np.ndarray:
@@ -146,13 +169,13 @@ def _crosstalk_and_clamp(avalanches, p: float, n_max: int, mode: str) -> np.ndar
         raise ValueError(f"crosstalk_mode must be one of {CROSSTALK_MODES}")
     a_rows = min(n_max, avalanches.shape[0])
     a = np.arange(a_rows)[None, :]
+    n_rows = min(n_max, 2 * a_rows - 1) if mode == "binomial" else n_max
+    big_n = np.arange(n_rows)[:, None]
+    extra = np.maximum(big_n - a, 0)
     if mode == "binomial":
-        n_rows = min(n_max, 2 * a_rows - 1)
-        xt = stats.binom.pmf(np.arange(n_rows)[:, None] - a, a, p)
+        # column a is the Binom(a, p) column moved down a rows
+        xt = np.where(big_n >= a, _binom_columns(n_rows, a_rows - 1, p)[extra, a], 0.0)
     else:
-        n_rows = n_max
-        big_n = np.arange(n_rows)[:, None]
-        extra = np.maximum(big_n - a, 0)
         # C(N-1, a-1) (1-p)^a p^extra in logs (log_fact[m] = log m!): a fifth
         # of the cost of stats.nbinom.pmf and within about 1e-13 of it
         log_fact = special.gammaln(np.arange(1, n_rows + 1))
@@ -173,15 +196,16 @@ def apply_channel(
 ) -> PhotonNumberDistribution:
     """Push a photon-number distribution through the detector channel.
 
-    Returns the photocount distribution over N = 0..n_max. The input's
-    truncation residual is propagated unchanged as the output tail bound.
+    Returns the photocount distribution over N = 0..n_max, sending
+    ``dist.probs`` through the stages of ``channel_matrix`` as a vector. The
+    input's truncation residual is propagated unchanged as the output tail
+    bound: the saturation bin completes the output's mass to 1 - tail.
     """
-    q = channel_matrix(params, max(dist.k_max, 1))
-    out = q @ dist.probs
-    if out.size < 2:
-        out = np.concatenate([out, [0.0]])
+    avalanches = _avalanches(params, dist.k_max, dist.probs)
+    out = _crosstalk_and_clamp(avalanches, params.p_xt, params.n_max, "binomial")
+    out[-1] = max(1.0 - dist.tail_bound - out[:-1].sum(), 0.0)
     mean = float(np.arange(out.size) @ out)
-    return PhotonNumberDistribution(out, max(0.0, 1.0 - float(out.sum())), mean)
+    return PhotonNumberDistribution(out, dist.tail_bound, mean)
 
 
 def joint_photocount(

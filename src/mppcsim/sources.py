@@ -97,11 +97,12 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.mean < 0:
-            raise ValueError("mean must be non-negative")
-        if self.modes < 1:
-            raise ValueError("modes must be >= 1")
-        if self.fock_n < 0 or int(self.fock_n) != self.fock_n:
+        # chained comparisons are false for NaN, and the upper bound rejects inf
+        if not 0.0 <= self.mean < math.inf:
+            raise ValueError("mean must be finite and non-negative")
+        if not 1.0 <= self.modes < math.inf:
+            raise ValueError("modes must be finite and >= 1")
+        if not 0 <= self.fock_n < math.inf or int(self.fock_n) != self.fock_n:
             raise ValueError("fock_n must be a non-negative integer")
 
     @property

@@ -24,6 +24,7 @@ from mppcsim import (
     pmf_fock,
     pmf_thermal,
 )
+from mppcsim.detector import _binom_columns
 
 
 def enumerate_crosstalk(n, p):
@@ -152,6 +153,66 @@ def test_joint_table_validates():
         table[0, 1] = value
         with pytest.raises(ValueError, match="finite"):
             JointPhotocountDistribution(table)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 120),
+    cols=st.integers(0, 300),
+    # scipy's own pmf strays by up to 3e-14 at p below about 1e-16
+    p=st.sampled_from([0.0, 1.0]) | st.floats(1e-9, 1.0),
+)
+@example(rows=400, cols=1404, p=0.2)
+@example(rows=5, cols=30, p=0.0)
+@example(rows=5, cols=30, p=1.0)
+@example(rows=40, cols=30, p=1.0)
+@example(rows=50, cols=3, p=0.4)
+@example(rows=1, cols=200, p=0.3)
+@example(rows=1, cols=0, p=0.5)
+def test_binom_columns_match_scipy(rows, cols, p):
+    m = _binom_columns(rows, cols, p)
+    ref = stats.binom.pmf(np.arange(rows)[:, None], np.arange(cols + 1)[None, :], p)
+    assert m.shape == (rows, cols + 1)
+    # each column step rounds once; at tiny p the entries near 1 drift by
+    # up to one unit in the last place per step, so wide grids get cols ulps
+    assert np.max(np.abs(m - ref)) <= max(1e-14, cols * 2.0**-53)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    eta=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 0.95),
+    n_max=st.integers(1, 400),
+    dark_mean=st.sampled_from([0.0, 0.1, 5.0]),
+    source=st.sampled_from([pmf_coherent, pmf_thermal]),
+    mean=st.floats(0.0, 300.0),
+)
+@example(eta=0.5, p=0.3, n_max=8, dark_mean=0.0, source=pmf_coherent, mean=297.209)
+@example(eta=0.2, p=0.177, n_max=400, dark_mean=0.1, source=pmf_coherent, mean=1000.0)
+@example(eta=1.0, p=0.0, n_max=1, dark_mean=0.0, source=pmf_thermal, mean=0.0)
+def test_apply_channel_is_the_channel_matrix_applied(eta, p, n_max, dark_mean, source, mean):
+    params = DetectorParams(eta, p, n_max, dark_mean, pixel_count=n_max)
+    dist = source(mean if source is pmf_coherent else mean / 6.0)
+    out = apply_channel(dist, params)
+    ref = channel_matrix(params, dist.k_max) @ dist.probs
+    assert np.max(np.abs(out.probs[:-1] - ref[:-1])) <= 1e-14
+    # the saturation bin completes the input's mass to 1 - tail, not to the
+    # sum of its probabilities, which can differ from 1 - tail by rounding
+    assert out.tail_bound == dist.tail_bound
+    excess = abs(dist.probs.sum() + dist.tail_bound - 1.0)
+    assert abs(out.probs.sum() - (1.0 - dist.tail_bound)) <= excess + 1e-14
+    assert abs(out.probs[-1] - ref[-1]) <= excess + 1e-14
+
+
+def test_apply_channel_keeps_saturated_inputs_in_range():
+    # the coherent pmf sums to 1 + 9.9e-14 here, and all of it saturates
+    dist = pmf_coherent(297.209)
+    params = DetectorParams(eta=0.5, p_xt=0.3, n_max=8)
+    out = apply_channel(dist, params)
+    assert out.probs[-1] <= 1.0
+    assert out.probs.sum() + out.tail_bound == pytest.approx(1.0, abs=1e-15)
+    joint = joint_independent(dist, dist, params, params)
+    assert joint.probs[-1, -1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_apply_channel_fock_fixture():
@@ -455,3 +516,7 @@ def test_detector_params_validation():
         DetectorParams(eta=0.5, dark_mean=-0.1)
     with pytest.raises(ValueError):
         DetectorParams(eta=0.5, n_max=500, pixel_count=400)
+    for value in (np.nan, np.inf, -np.inf):
+        for field in ("eta", "p_xt", "n_max", "dark_mean", "pixel_count"):
+            with pytest.raises(ValueError, match=field):
+                DetectorParams(**{"eta": 0.5, field: value})

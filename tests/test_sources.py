@@ -180,6 +180,10 @@ def test_source_spec_dispatch():
         SourceSpec("coherent", mean=-1.0)
     with pytest.raises(ValueError):
         SourceSpec("twin_multimode", mean=1.0, modes=0.2)
+    for value in (np.nan, np.inf, -np.inf):
+        for field in ("mean", "modes", "fock_n"):
+            with pytest.raises(ValueError, match=field):
+                SourceSpec("twin_multimode", **{field: value})
 
 
 AFTER_LOSS_SPECS = [
