@@ -9,18 +9,18 @@ import numpy as np
 from mppcsim import (
     DetectorParams,
     apply_channel,
-    build_povm,
+    channel_matrix,
     pmf_coherent,
     pmf_fock,
 )
 
 params = DetectorParams(eta=0.5, p_xt=0.2, n_max=4)
-povm = build_povm(params, 8)
+q = channel_matrix(params, 8)
 
 print("response matrix Q(N|k) for eta=0.5, p=0.2, n_max=4 (rows N, cols k=0..8)")
-for n in range(povm.q.shape[0]):
-    print("  " + " ".join(f"{v:7.4f}" for v in povm.q[n]))
-print("column sums:", np.round(povm.q.sum(axis=0), 12))
+for row in q:
+    print("  " + " ".join(f"{v:7.4f}" for v in row))
+print("column sums:", np.round(q.sum(axis=0), 12))
 
 print()
 print("single photon through the channel: detect with 0.5, then maybe crosstalk")

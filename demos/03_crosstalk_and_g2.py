@@ -16,7 +16,7 @@ from mppcsim import (
     g2_from_histogram,
     invert_g2,
     measured_g2,
-    transform_histogram,
+    transform_counts_exact,
 )
 
 p = 0.177
@@ -25,7 +25,8 @@ print(f"model coefficients at p={p}: A={coefficient_a(p):.5f} B={coefficient_b(p
 print()
 print("a histogram of pure single-photon events, pushed through crosstalk:")
 hist = CountHistogram(1000, np.array([0, 1000]))
-out = transform_histogram(hist, "0.1")
+bins = transform_counts_exact(hist.counts, "0.1")  # exact rationals
+out = CountHistogram(hist.trials, [float(v) for v in bins])
 print("  bins before:", hist.counts.astype(int).tolist())
 print("  bins after :", out.counts.tolist())
 print("  events conserved:", out.counts.sum() == hist.counts.sum())

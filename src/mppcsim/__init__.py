@@ -22,14 +22,11 @@ from .crosstalk import (
     invert_g2,
     measured_g2,
     transform_counts_exact,
-    transform_histogram,
 )
 from .detector import (
     DetectorParams,
     JointPhotocountDistribution,
-    PovmMatrix,
     apply_channel,
-    build_povm,
     channel_matrix,
     joint_independent,
     joint_photocount,

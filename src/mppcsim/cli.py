@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io
 from .calibration import fit_crosstalk
-from .detector import DetectorParams, build_povm, nrf_limit_coherent, nrf_limit_sv
+from .detector import DetectorParams, channel_matrix, nrf_limit_coherent, nrf_limit_sv
 from .errors import UndefinedStatisticError
 from .estimators import (
     _sweep_point,
@@ -261,10 +261,10 @@ def _cmd_nrf(args) -> int:
 def _cmd_povm(args) -> int:
     params = DetectorParams(eta=args.eta, p_xt=args.xt, n_max=args.nmax,
                             pixel_count=args.nmax)
-    povm = build_povm(params, args.kmax)
-    io.write_povm_csv(args.out, povm)
+    q = channel_matrix(params, args.kmax)
+    io.write_povm_csv(args.out, q)
     if not args.quiet:
-        print(f"wrote {povm.q.shape[0]}x{povm.q.shape[1]} response matrix to {args.out}")
+        print(f"wrote {q.shape[0]}x{q.shape[1]} response matrix to {args.out}")
     return 0
 
 

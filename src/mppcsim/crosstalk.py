@@ -4,9 +4,9 @@ Each recorded avalanche can promote its event by one count with
 probability p and by two counts with probability p^2 (one neighbor
 triggering a further neighbor); third-order terms are dropped, which
 caps the validity of the model at p <= 0.6 where 1 - p - p^2 is still a
-probability. The transform redistributes events between bins without
-creating or destroying any, so aggregate identities for the coincidence
-and singles totals follow exactly.
+probability. The one transform, ``transform_counts_exact``, redistributes
+events between bins without creating or destroying any, so aggregate
+identities for the coincidence and singles totals follow exactly.
 
 All bin arithmetic runs on exact rationals; pass p as a string ("0.1")
 or ``Fraction`` to keep decimal inputs exact end to end.
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import CrosstalkRangeWarning
 from .histograms import CountHistogram
@@ -71,14 +69,6 @@ def transform_counts_exact(counts, p) -> list[Fraction]:
         out[k + 1] += single
         out[k + 2] += double
     return out
-
-
-def transform_histogram(hist: CountHistogram, p) -> CountHistogram:
-    """Histogram-level wrapper of the exact transform (decimal expected counts)."""
-    out = transform_counts_exact(hist.counts, p)
-    meta = dict(hist.meta)
-    meta["crosstalk_transform_p"] = float(_as_fraction(p))
-    return CountHistogram(hist.trials, np.array([float(v) for v in out]), meta)
 
 
 def _pair_and_count_sums(hist: CountHistogram) -> tuple[Fraction, Fraction]:

@@ -11,9 +11,10 @@ triggered neighbour trigger further ones until extinction, geometric
 branching (a + NegBin(a, 1 - p) counts; Vinogradov, NIM A 695 (2012) 247).
 It runs in two stages, the avalanche law (loss plus dark) and crosstalk
 with the clamp; the binomial kernels are built by Pascal's rule. The
-response matrix Q(N|k) is column-stochastic: the saturation row is the
-complement of the rows below it. Crosstalk only adds counts, so avalanche
-numbers a >= n_max, which can only saturate, are never evaluated.
+response matrix Q(N|k), built only by ``channel_matrix``, is
+column-stochastic: the saturation row is the complement of the rows below
+it. Crosstalk only adds counts, so avalanche numbers a >= n_max, which can
+only saturate, are never evaluated.
 """
 from __future__ import annotations
 
@@ -64,24 +65,6 @@ class DetectorParams:
 
 
 @dataclass(frozen=True)
-class PovmMatrix:
-    """Response probabilities q[N, k] of recording N photocounts from k photons."""
-
-    q: np.ndarray
-    params: DetectorParams
-    k_max: int
-
-    def __post_init__(self):
-        q = _checked_probs(self.q, "response entries")
-        object.__setattr__(self, "q", q)
-        if q.shape != (self.params.n_max + 1, self.k_max + 1):
-            raise ValueError("response matrix shape mismatch")
-        colsums = q.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > _COMPLETENESS_TOL):
-            raise ValueError("response matrix columns must sum to 1")
-
-
-@dataclass(frozen=True)
 class JointPhotocountDistribution:
     """Joint probability table over (N_signal, N_idler) photocounts."""
 
@@ -96,14 +79,10 @@ class JointPhotocountDistribution:
             raise ValueError("joint table must sum to 1")
 
 
-def build_povm(params: DetectorParams, k_max: int) -> PovmMatrix:
-    """Dark-free saturating response matrix of the detector.
-
-    Rows N < n_max compose the crosstalk and efficiency kernels; the row
-    N = n_max is the completeness complement, so every column sums to 1.
-    """
-    q = channel_matrix(replace(params, dark_mean=0.0), k_max)
-    return PovmMatrix(q, params, k_max)
+def build_povm(params: DetectorParams, k_max: int) -> np.ndarray:
+    """``channel_matrix`` with the dark stage off. Not exported: kept only for
+    the benchmark's ``analytic_channel`` workload, which calls it by name."""
+    return channel_matrix(replace(params, dark_mean=0.0), k_max)
 
 
 def channel_matrix(
@@ -114,8 +93,8 @@ def channel_matrix(
 
     Dark avalanches are injected after detection loss and participate in
     crosstalk like photon avalanches, under the law ``crosstalk_mode``;
-    the saturation clamp acts last. With dark_mean = 0 and ``binomial``
-    crosstalk this is exactly the matrix of ``build_povm``.
+    the saturation clamp acts last. This is the package's one response
+    matrix; ``mppc povm`` writes it.
 
     The stages are the avalanche law, then crosstalk and clamp. The cost is
     O(n_max^2 k_max) time and O(n_max k_max) memory; ``apply_channel``

@@ -45,16 +45,6 @@ class CountHistogram:
     def __post_init__(self):
         object.__setattr__(self, "counts", _checked_counts(self.trials, self.counts, 1))
 
-    @classmethod
-    def from_nonzero_counts(cls, trials, counts_from_k1, meta=None):
-        """Build a histogram from bins k >= 1, synthesizing the zero bin."""
-        tail = np.asarray(counts_from_k1, dtype=float)
-        zero = trials - tail.sum()
-        if zero < -_SUM_TOL * max(1.0, trials):
-            raise ValueError("counts exceed trial count")
-        counts = np.concatenate([[max(zero, 0.0)], tail])
-        return cls(trials, counts, dict(meta or {}))
-
     @property
     def total_counts(self) -> float:
         """Total recorded photocounts, sum(k * N_k)."""

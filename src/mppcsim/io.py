@@ -1,7 +1,7 @@
 """On-disk formats: schema-tagged JSON for histograms, CSV for sweeps and
-response matrices. Histogram and sweep files round-trip exactly; response
-matrices are exported with 12 significant digits. All writes are atomic
-(temp file plus rename)."""
+the response matrices of ``channel_matrix``. Histogram and sweep files
+round-trip exactly; response matrices are exported with 12 significant
+digits. All writes are atomic (temp file plus rename)."""
 from __future__ import annotations
 
 import contextlib
@@ -11,7 +11,6 @@ import os
 import numpy as np
 
 from .calibration import CalibrationResult
-from .detector import PovmMatrix
 from .histograms import CountHistogram, JointCountHistogram, SweepSeries
 
 SCHEMA_HIST = "mppc-hist/1"
@@ -159,10 +158,11 @@ def read_nrf_sweep(path) -> np.ndarray:
     return _read_rows(path, NRF_SWEEP_HEADER)
 
 
-def write_povm_csv(path, povm: PovmMatrix) -> None:
-    lines = ["N," + ",".join(str(k) for k in range(povm.k_max + 1))]
-    for n in range(povm.q.shape[0]):
-        entries = ",".join(f"{v:.12g}" for v in povm.q[n])
+def write_povm_csv(path, q: np.ndarray) -> None:
+    """Write the response matrix ``q[N, k]`` of ``channel_matrix``."""
+    lines = ["N," + ",".join(str(k) for k in range(q.shape[1]))]
+    for n, row in enumerate(q):
+        entries = ",".join(f"{v:.12g}" for v in row)
         lines.append(f"{n},{entries}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -135,29 +135,30 @@ class SourceSpec:
         return SourceSpec(self.kind, eta * self.mean, self.modes).distribution()
 
 
-def _extend_until(tail_of, k_request: int | None, k_floor: int) -> int:
-    """Smallest cutoff >= the caller's request with tail mass below target."""
+def _extend_until(tail_of, k_request: int | None, k_floor: int) -> tuple[int, float]:
+    """Smallest cutoff >= the caller's request with tail mass below target,
+    and that tail mass."""
     k = max(k_request or 0, k_floor, 1)
-    while tail_of(k) >= TAIL_TARGET:
+    while (tail := tail_of(k)) >= TAIL_TARGET:
         k = 2 * k + 16
         if k > 5_000_000:
             raise ValueError("truncation point diverged; mean too large?")
-    return k
+    return k, tail
 
 
 def _truncated(mean, var, law, params, k_max, weight=lambda k: 1.0, mean_hint=None):
     """``law.pmf(k, *params()) * weight(k)`` for k = 0..k, with k from k_max up
-    until ``law.sf(k) * weight(0)`` bounds the tail below target; vacuum at
-    zero ``mean``. ``params`` and ``weight`` run once the mean is checked."""
+    until ``law.sf(k) * weight(0)``, the reported tail bound, falls below
+    target; vacuum at zero ``mean``. ``params`` and ``weight`` run once the
+    mean is checked."""
     if mean < 0:
         raise ValueError("mean must be non-negative")
     if mean == 0:
         return PhotonNumberDistribution(np.array([1.0, 0.0]), 0.0, 0.0)
     args = params()
     floor = int(mean + 12 * math.sqrt(var) + 25)
-    k = _extend_until(lambda n: law.sf(n, *args) * weight(0), k_max, floor)
+    k, tail = _extend_until(lambda n: law.sf(n, *args) * weight(0), k_max, floor)
     probs = law.pmf(np.arange(k + 1), *args) * weight(np.arange(k + 1))
-    tail = max(0.0, 1.0 - float(probs.sum()))
     return PhotonNumberDistribution(probs, tail, mean if mean_hint is None else mean_hint)
 
 

@@ -20,7 +20,7 @@ from mppcsim import (
     SimulationConfig,
     SourceSpec,
     apply_channel,
-    build_povm,
+    channel_matrix,
     coefficient_a,
     coefficient_b,
     compare_methods,
@@ -52,17 +52,17 @@ def report(num: int, text: str) -> None:
 
 
 def test_criterion_01_povm_completeness():
-    start = time.perf_counter()
+    start = time.process_time()
     for eta, p, n_max in itertools.product((0.1, 0.5, 1.0), (0.0, 0.1, 0.3), (3, 10, 400)):
-        povm = build_povm(DetectorParams(eta=eta, p_xt=p, n_max=n_max), 100)
-        assert np.all(np.abs(povm.q.sum(axis=0) - 1.0) <= 1e-10)
-    elapsed = time.perf_counter() - start
+        q = channel_matrix(DetectorParams(eta=eta, p_xt=p, n_max=n_max), 100)
+        assert np.all(np.abs(q.sum(axis=0) - 1.0) <= 1e-10)
+    elapsed = time.process_time() - start
     assert elapsed < 1.0
     report(1, f"27 response matrices column-stochastic to 1e-10 in {elapsed:.2f}s")
 
 
 def test_criterion_02_crosstalk_algebra_exactness():
-    start = time.perf_counter()
+    start = time.process_time()
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         counts = rng.integers(0, 1_000_000, size=rng.integers(2, 13)).tolist()
@@ -82,7 +82,7 @@ def test_criterion_02_crosstalk_algebra_exactness():
     singles = CountHistogram(1000, np.array([0.0, 1000.0]))
     assert expected_total_counts(singles, "0.1") == 1120.0
     assert expected_coincidences(singles, "0.1") == 130.0
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert elapsed < 1.0
     report(2, f"1000 random histograms conserve events exactly in {elapsed:.2f}s")
 
@@ -159,7 +159,7 @@ def test_criterion_05_monte_carlo_matches_analytic_channel():
                 seed=700 + 10 * n_in + int(p_xt * 10),
             )
             freq = simulate_single(cfg).counts / 1_000_000
-            col = build_povm(fock_params, n_in).q[:, n_in]
+            col = channel_matrix(fock_params, n_in)[:, n_in]
             se = np.sqrt(np.maximum(col * (1 - col), 0.0) / 1_000_000)
             assert np.all(np.abs(freq - col) <= 5 * se + 1e-9)
     elapsed = time.perf_counter() - start

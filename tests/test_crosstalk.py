@@ -19,7 +19,6 @@ from mppcsim import (
     measured_g2,
     pmf_coherent,
     transform_counts_exact,
-    transform_histogram,
 )
 
 
@@ -34,14 +33,6 @@ def coeffs_oracle(p):
 def test_transform_fixture_exact():
     out = transform_counts_exact([0, 1000], "0.1")
     assert out == [Fraction(0), Fraction(890), Fraction(100), Fraction(10)]
-
-
-def test_transform_histogram_fixture():
-    hist = CountHistogram(1000, np.array([0, 1000]))
-    out = transform_histogram(hist, "0.1")
-    assert out.counts.tolist() == [0.0, 890.0, 100.0, 10.0]
-    assert out.trials == 1000
-    assert out.meta["crosstalk_transform_p"] == 0.1
 
 
 def test_transform_identity_at_zero():
@@ -107,11 +98,11 @@ def test_aggregate_fixtures():
 
 
 def test_p_validation_and_warning():
-    hist = CountHistogram(10, np.array([0, 10]))
+    counts = [0, 10]
     with pytest.raises(ValueError):
-        transform_histogram(hist, 0.7)
+        transform_counts_exact(counts, 0.7)
     with pytest.warns(CrosstalkRangeWarning):
-        transform_histogram(hist, 0.4)
+        transform_counts_exact(counts, 0.4)
 
 
 def test_p_range_boundaries_are_exact():

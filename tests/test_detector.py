@@ -10,10 +10,8 @@ from scipy import stats
 from mppcsim import (
     DetectorParams,
     JointPhotocountDistribution,
-    PovmMatrix,
     UndefinedStatisticError,
     apply_channel,
-    build_povm,
     channel_matrix,
     joint_independent,
     joint_photocount,
@@ -24,7 +22,7 @@ from mppcsim import (
     pmf_fock,
     pmf_thermal,
 )
-from mppcsim.detector import _binom_columns
+from mppcsim.detector import _binom_columns, build_povm
 
 
 def enumerate_crosstalk(n, p):
@@ -107,40 +105,24 @@ def test_efficiency_kernel_normalization():
 
 
 def test_povm_saturation_clamp():
-    povm = build_povm(DetectorParams(eta=1.0, p_xt=0.0, n_max=2), 5)
-    assert povm.q[2, 5] == pytest.approx(1.0, abs=1e-12)
-    assert povm.q[0, 5] == 0.0
+    q = channel_matrix(DetectorParams(eta=1.0, p_xt=0.0, n_max=2), 5)
+    assert q[2, 5] == pytest.approx(1.0, abs=1e-12)
+    assert q[0, 5] == 0.0
 
 
 def test_povm_column_fixture():
     # hand composition: k=1 photon, eta=0.5, then one avalanche crosstalks at 0.2
-    povm = build_povm(DetectorParams(eta=0.5, p_xt=0.2, n_max=5), 3)
-    assert povm.q[0, 1] == pytest.approx(0.5, abs=1e-12)
-    assert povm.q[1, 1] == pytest.approx(0.4, abs=1e-12)
-    assert povm.q[2, 1] == pytest.approx(0.1, abs=1e-12)
+    q = channel_matrix(DetectorParams(eta=0.5, p_xt=0.2, n_max=5), 3)
+    assert q[0, 1] == pytest.approx(0.5, abs=1e-12)
+    assert q[1, 1] == pytest.approx(0.4, abs=1e-12)
+    assert q[2, 1] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_povm_completeness_small_grid():
     for eta, p, n_max in itertools.product((0.3, 1.0), (0.0, 0.25), (3, 50)):
-        povm = build_povm(DetectorParams(eta=eta, p_xt=p, n_max=n_max), 40)
-        assert np.allclose(povm.q.sum(axis=0), 1.0, atol=1e-10)
-        assert np.all(povm.q >= 0.0) and np.all(povm.q <= 1.0)
-
-
-def test_povm_matrix_validates():
-    params = DetectorParams(eta=0.5, p_xt=0.1, n_max=2)
-    good = build_povm(params, 3)
-    bad = good.q.copy()
-    bad[0, 0] = 0.5
-    with pytest.raises(ValueError):
-        PovmMatrix(bad, params, 3)
-    for value in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            PovmMatrix(np.full_like(good.q, value), params, 3)
-        bad = good.q.copy()
-        bad[1, 2] = value
-        with pytest.raises(ValueError, match="finite"):
-            PovmMatrix(bad, params, 3)
+        q = channel_matrix(DetectorParams(eta=eta, p_xt=p, n_max=n_max), 40)
+        assert np.allclose(q.sum(axis=0), 1.0, atol=1e-10)
+        assert np.all(q >= 0.0) and np.all(q <= 1.0)
 
 
 def test_joint_table_validates():
@@ -283,7 +265,7 @@ def test_dark_counts_match_compound_oracle():
 
 def test_dark_free_channel_equals_povm():
     params = DetectorParams(eta=0.6, p_xt=0.15, n_max=6, dark_mean=0.0)
-    assert np.array_equal(channel_matrix(params, 12), build_povm(params, 12).q)
+    assert np.array_equal(channel_matrix(params, 12), build_povm(params, 12))
 
 
 def full_grid_response(eta, p, n_max, k_max, dark_mean, mode="binomial"):

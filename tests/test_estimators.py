@@ -254,13 +254,6 @@ def test_subtract_dark_clamps_and_warns():
     assert corr.meta["dark_clamped_bins"] == [1]
 
 
-def test_zero_bin_synthesis():
-    hist = CountHistogram.from_nonzero_counts(100, [30, 20])
-    assert hist.counts.tolist() == [50.0, 30.0, 20.0]
-    with pytest.raises(ValueError):
-        CountHistogram.from_nonzero_counts(10, [30])
-
-
 def test_histogram_validation():
     with pytest.raises(ValueError):
         CountHistogram(10, np.array([3, 3]))  # sum mismatch

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -11,7 +12,7 @@ from mppcsim import (
     DetectorParams,
     JointCountHistogram,
     SweepSeries,
-    build_povm,
+    channel_matrix,
     measured_g2,
 )
 from mppcsim import io as mio
@@ -113,11 +114,11 @@ def test_sweep_sorted_validation(tmp_path):
 
 def test_povm_csv_round_trip(tmp_path):
     path = tmp_path / "q.csv"
-    povm = build_povm(DetectorParams(eta=0.37, p_xt=0.21, n_max=4), 9)
-    mio.write_povm_csv(path, povm)
+    q = channel_matrix(DetectorParams(eta=0.37, p_xt=0.21, n_max=4), 9)
+    mio.write_povm_csv(path, q)
     back = mio.read_povm_csv(path)
-    assert back.shape == povm.q.shape
-    assert np.allclose(back, povm.q, rtol=1e-11, atol=1e-14)
+    assert back.shape == q.shape
+    assert np.allclose(back, q, rtol=1e-11, atol=1e-14)
     assert np.allclose(back.sum(axis=0), 1.0, atol=1e-10)
 
 
@@ -421,6 +422,13 @@ def test_cli_povm(tmp_path, capsys):
     assert q[1, 1] == pytest.approx(0.4, abs=1e-11)
     assert q[2, 1] == pytest.approx(0.1, abs=1e-11)
     assert np.allclose(q.sum(axis=0), 1.0, atol=1e-10)
+    # the README example, byte for byte
+    rc = main(
+        ["povm", "--eta", "0.5", "--xt", "0.2", "--nmax", "4", "--kmax", "50",
+         "--out", str(out), "--quiet"]
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "bf0d3feed3d4ba44"
 
 
 def test_cli_preset_fills_detector_defaults(tmp_path):

@@ -16,7 +16,6 @@ from mppcsim import (
     apply_channel,
     SimulationConfig,
     SourceSpec,
-    build_povm,
     channel_matrix,
     g2_cross_from_joint,
     joint_photocount,
@@ -129,7 +128,7 @@ def test_binomial_mode_matches_povm_column():
     )
     hist = simulate_single(cfg)
     freq = hist.counts / cfg.trials
-    column = build_povm(params, 3).q[:, 3]
+    column = channel_matrix(params, 3)[:, 3]
     se = np.sqrt(np.maximum(column * (1 - column), 1e-12) / cfg.trials)
     assert np.all(np.abs(freq - column) <= 5 * se + 1e-9)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mppcsim import (
@@ -15,6 +17,7 @@ from mppcsim import (
     pmf_twin_multimode,
     true_g2_of_dist,
 )
+from mppcsim.sources import SOURCE_KINDS, TAIL_TARGET
 
 
 def brute_poisson(mean, kmax=400):
@@ -153,6 +156,42 @@ def test_requested_k_max_is_honored_and_extended():
     assert d.k_max >= 500
     small = pmf_coherent(50.0, k_max=3)  # far too small, must auto-extend
     assert small.k_max > 50
+
+
+def mass_beyond(spec, k_max):
+    """Oracle: the source's mass beyond ``k_max``, summed term by term far
+    past it."""
+    if spec.kind == "fock":
+        return float(spec.fock_n > k_max)
+    m = spec.mean
+    if m == 0:
+        return 0.0
+    k = np.arange(k_max + 1, k_max + 1000 + int(60 * (m + 10)))
+    if spec.kind == "coherent":
+        return stats.poisson.pmf(k, m).sum()
+    if spec.kind == "even_poisson":
+        return (stats.poisson.pmf(k, m) * (1 + (-1.0) ** k)).sum() / (1 + math.exp(-2 * m))
+    r = spec.modes if spec.kind == "twin_multimode" else 1.0
+    return stats.nbinom.pmf(k, r, 1 / (1 + m / r)).sum()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(SOURCE_KINDS),
+    mean=st.floats(0.0, 300.0),
+    modes=st.floats(1.0, 20.0),
+    fock_n=st.integers(0, 60),
+    k_max=st.none() | st.integers(1, 800),
+)
+@example("coherent", 297.209, 1.0, 0, None)  # its pmf sums to 1 + 9.9e-14
+@example("coherent", 4.5, 1.0, 0, 238)  # mass beyond: 8.8e-313, subnormal
+def test_tail_bound_covers_the_mass_beyond_k_max(kind, mean, modes, fock_n, k_max):
+    spec = SourceSpec(kind, mean, modes, fock_n)
+    dist = spec.distribution(k_max)
+    assert dist.tail_bound <= TAIL_TARGET
+    # scipy's sf underflows to 0 below the smallest normal float
+    tiny = np.finfo(float).tiny
+    assert dist.tail_bound >= mass_beyond(spec, dist.k_max) * (1 - 1e-9) - tiny
 
 
 def test_distribution_invariants_enforced():
