@@ -67,6 +67,9 @@ def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
     bounded Brent refinement; the uncertainty follows from the curvature
     of the weighted objective at the minimum (unit chi-square increase).
     """
+    # the chained comparison is false for NaN, and the upper bound rejects inf
+    if not 0.0 <= g0 < math.inf:
+        raise ValueError("g0 must be finite and non-negative")
     y = sweep.g2
     w = 1.0 / sweep.g2_err**2
     inv_n = 1.0 / sweep.n_total
@@ -192,24 +195,24 @@ def compare_methods(
     *,
     dark_rate: float = 0.002,
     eta: float = 0.2,
-    points: int = 10,
-    span: tuple = (0.1, 2.0),
     seed: int = 0,
-    crosstalk_mode: str = "cascade",
 ) -> MethodComparison:
     """Empirical uncertainty comparison of the two calibration routes.
 
     Every replicate simulates a dark acquisition of ``dark_trials`` pulses
     and a coherent sweep totalling ``sweep_trials`` pulses, runs both
     estimators, and the spread (sample standard deviation) of each
-    estimate across replicates is reported.
+    estimate across replicates is reported. The sweep is a fixed 10-point
+    grid, geometric from 0.1 to 2.0 mean counts per pulse, and every run
+    uses the ``cascade`` crosstalk law.
     """
     from . import montecarlo
 
     if replicates < 2:
         raise ValueError("need at least 2 replicates to measure spread")
-    per_point = max(sweep_trials // points, 1)
-    grid = np.geomspace(span[0], span[1], points) / (eta * (1.0 + p_truth))
+    counts = np.geomspace(0.1, 2.0, 10)  # the sweep's mean counts per pulse
+    per_point = max(sweep_trials // counts.size, 1)
+    grid = counts / (eta * (1.0 + p_truth))
 
     p_fit = np.empty(replicates)
     p_dc = np.empty(replicates)
@@ -224,7 +227,7 @@ def compare_methods(
             ),
             trials=dark_trials,
             seed=dark_seed,
-            crosstalk_mode=crosstalk_mode,
+            crosstalk_mode="cascade",
         )
         p_dc[r] = dark_noise_crosstalk(montecarlo.simulate_single(dark_cfg)).p_hat
 
@@ -233,7 +236,7 @@ def compare_methods(
             detector_s=DetectorParams(eta=eta, p_xt=p_truth, n_max=400),
             trials=per_point,
             seed=sweep_seed,
-            crosstalk_mode=crosstalk_mode,
+            crosstalk_mode="cascade",
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryFitWarning)

@@ -9,9 +9,10 @@ laws, ``binomial`` lets every avalanche trigger at most one neighbour
 (a avalanches record a + Binom(a, p) counts), and ``cascade`` lets every
 triggered neighbour trigger further ones until extinction, geometric
 branching (a + NegBin(a, 1 - p) counts; Vinogradov, NIM A 695 (2012) 247).
-It runs in two stages, the avalanche law (loss plus dark) and crosstalk
-with the clamp; the binomial kernels are built by Pascal's rule. The
-response matrix Q(N|k), built only by ``channel_matrix``, is
+Each caller thins by loss; the dark stage and everything after it live
+only in ``_count_law``, which ``channel_matrix``, ``apply_channel`` and
+the Monte Carlo all call. The binomial kernels are built by Pascal's rule.
+The response matrix Q(N|k), built only by ``channel_matrix``, is
 column-stochastic: the saturation row is the complement of the rows below
 it. Crosstalk only adds counts, so avalanche numbers a >= n_max, which can
 only saturate, are never evaluated.
@@ -96,14 +97,14 @@ def channel_matrix(
     the saturation clamp acts last. This is the package's one response
     matrix; ``mppc povm`` writes it.
 
-    The stages are the avalanche law, then crosstalk and clamp. The cost is
-    O(n_max^2 k_max) time and O(n_max k_max) memory; ``apply_channel``
+    Loss thins each column by Pascal's rule and ``_count_law`` does the rest,
+    in O(n_max^2 k_max) time and O(n_max k_max) memory; ``apply_channel``
     sends one vector through the same stages in O(n_max k_max).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _crosstalk_and_clamp(_avalanches(params, k_max), params.p_xt, params.n_max,
-                                crosstalk_mode)
+    survivors = _binom_columns(min(params.n_max, k_max + 1), k_max, params.eta)
+    return _count_law(survivors, params, crosstalk_mode)
 
 
 def _binom_columns(rows: int, cols: int, p: float) -> np.ndarray:
@@ -119,19 +120,18 @@ def _binom_columns(rows: int, cols: int, p: float) -> np.ndarray:
     return m.T
 
 
-def _avalanches(params: DetectorParams, k_max: int, photons=None) -> np.ndarray:
-    """Law of the primary avalanche number a < n_max, the photons that
-    survive loss plus the dark avalanches: one column per photon number
-    k = 0..k_max, or, given the photon-number law ``photons``, its vector."""
+def _count_law(survivors, params: DetectorParams, mode: str) -> np.ndarray:
+    """Law of the recorded count N = 0..n_max, given the law of the photons
+    that survive loss along axis 0 of ``survivors`` (a vector, or one column
+    per photon number): the one place the chain adds the dark avalanches,
+    then applies crosstalk under ``mode`` and the clamp."""
     dark = pmf_coherent(params.dark_mean).probs
-    a_rows = min(params.n_max, k_max + dark.size)
-    survivors = _binom_columns(a_rows, k_max, params.eta)
-    if photons is not None:
-        survivors = survivors @ photons
-    avalanches = np.zeros_like(survivors)
+    size = survivors.shape[0]
+    a_rows = min(params.n_max, size + dark.size - 1)
+    avalanches = np.zeros((a_rows, *survivors.shape[1:]), order="F")
     for d, w in enumerate(dark[:a_rows]):
-        avalanches[d:] += w * survivors[: a_rows - d]
-    return avalanches
+        avalanches[d : d + size] += w * survivors[: a_rows - d]
+    return _crosstalk_and_clamp(avalanches, params.p_xt, params.n_max, mode)
 
 
 def _crosstalk_and_clamp(avalanches, p: float, n_max: int, mode: str) -> np.ndarray:
@@ -180,11 +180,10 @@ def apply_channel(
     input's truncation residual is propagated unchanged as the output tail
     bound: the saturation bin completes the output's mass to 1 - tail.
     """
-    avalanches = _avalanches(params, dist.k_max, dist.probs)
-    out = _crosstalk_and_clamp(avalanches, params.p_xt, params.n_max, "binomial")
+    survivors = _binom_columns(min(params.n_max, dist.k_max + 1), dist.k_max, params.eta)
+    out = _count_law(survivors @ dist.probs, params, "binomial")
     out[-1] = max(1.0 - dist.tail_bound - out[:-1].sum(), 0.0)
-    mean = float(np.arange(out.size) @ out)
-    return PhotonNumberDistribution(out, dist.tail_bound, mean)
+    return PhotonNumberDistribution(out, dist.tail_bound)
 
 
 def joint_photocount(

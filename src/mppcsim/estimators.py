@@ -71,24 +71,23 @@ def _sweep_point(hist: CountHistogram) -> tuple[float, float, float]:
     return mean_counts_per_pulse(hist), est.value, est.std_err
 
 
-def _bootstrap(joint: JointCountHistogram, stat, n_boot: int, seed, undefined: str):
-    """Point value and multinomial-bootstrap error of ``stat``.
+def _bootstrap(joint: JointCountHistogram, stat, undefined: str):
+    """Point value and multinomial-bootstrap error of ``stat``, over
+    ``N_BOOTSTRAP`` replicates drawn from the run seed in ``joint.meta``.
 
     ``stat(tables, trials)`` takes a stack of count tables of shape
     (n, N_s, N_i) and returns each table's value and whether it is defined;
-    undefined replicates are dropped. A ``seed`` of None means the run seed
-    in ``joint.meta``.
+    undefined replicates are dropped.
     """
     value, defined = stat(joint.counts[None], joint.trials)
     if not defined[0]:
         raise UndefinedStatisticError(undefined)
     flat = joint.counts.ravel()
     p = flat / flat.sum()
-    if seed is None:
-        seed = _seed_from_meta(joint.meta)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = rng.multinomial(joint.trials, p, size=n_boot).astype(float)
-    reps, defined = stat(draws.reshape(n_boot, *joint.counts.shape), joint.trials)
+    ss = np.random.SeedSequence(_seed_from_meta(joint.meta))
+    rng = np.random.Generator(np.random.Philox(ss))
+    draws = rng.multinomial(joint.trials, p, size=N_BOOTSTRAP).astype(float)
+    reps, defined = stat(draws.reshape(N_BOOTSTRAP, *joint.counts.shape), joint.trials)
     reps = reps[defined]
     err = float(reps.std(ddof=1)) if reps.size > 1 else 0.0
     return EstimateWithError(float(value[0]), err, "bootstrap")
@@ -105,13 +104,9 @@ def _cross_g2(tables: np.ndarray, trials: int):
         return mean_si / (mean_s * mean_i), defined
 
 
-def g2_cross_from_joint(
-    joint: JointCountHistogram, n_boot: int = N_BOOTSTRAP, seed: int | None = None
-) -> EstimateWithError:
+def g2_cross_from_joint(joint: JointCountHistogram) -> EstimateWithError:
     """Two-detector correlation <N_s N_i>/(<N_s><N_i>) with bootstrap error."""
-    return _bootstrap(
-        joint, _cross_g2, n_boot, seed, "cross g2 undefined: zero marginal mean"
-    )
+    return _bootstrap(joint, _cross_g2, "cross g2 undefined: zero marginal mean")
 
 
 def _nrf(tables: np.ndarray, trials: int, ddof: int = 1):
@@ -129,16 +124,14 @@ def _nrf(tables: np.ndarray, trials: int, ddof: int = 1):
         return var / mean_sum, defined
 
 
-def nrf_from_joint(
-    joint: JointCountHistogram, n_boot: int = N_BOOTSTRAP, seed: int | None = None
-) -> EstimateWithError:
+def nrf_from_joint(joint: JointCountHistogram) -> EstimateWithError:
     """Noise reduction factor Var(N_s - N_i)/<N_s + N_i> with bootstrap error.
 
     Uses the unbiased (T-1) sample variance of the count difference.
     """
     if joint.trials < 2:
         raise UndefinedStatisticError("NRF needs at least 2 trials")
-    return _bootstrap(joint, _nrf, n_boot, seed, "NRF undefined: zero total counts")
+    return _bootstrap(joint, _nrf, "NRF undefined: zero total counts")
 
 
 def subtract_dark(signal: CountHistogram, dark: CountHistogram) -> CountHistogram:

@@ -87,6 +87,8 @@ class SweepSeries:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must be rows of (n_total, g2, g2_err)")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("sweep entries must be finite")
         if pts.shape[0] < 3:
             raise ValueError("a sweep needs at least 3 points")
         pts = pts[np.argsort(pts[:, 0], kind="stable")]

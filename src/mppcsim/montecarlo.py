@@ -12,13 +12,14 @@ any worker count.
 Every pulse is drawn in one step from the exact law of its recorded
 counts, built once per run from the one detector chain of
 :mod:`mppcsim.detector`, in either of its crosstalk laws. An arm that has
-the source to itself (one arm, independent arms, sweeps) applies the
-chain's crosstalk and clamp to its primary avalanches: the photons that
-survive loss plus the dark avalanches. Twin arms share the pair number, so
-they draw one cell of the joint table of ``joint_photocount``. The
-``cascade`` law agrees with the histogram-level algebra of
-:mod:`mppcsim.crosstalk` to first order in p only: a single avalanche
-reaches 2 counts with probability p(1 - p) here and p in the algebra.
+the source to itself (one arm, independent arms, sweeps) thins the source
+by loss in closed form (``SourceSpec.after_loss``) and hands the survivors
+to ``detector._count_law``, the only place the dark stage, crosstalk and
+the clamp are written. Twin arms share the pair number, so they draw one
+cell of the joint table of ``joint_photocount``. The ``cascade`` law
+agrees with the histogram-level algebra of :mod:`mppcsim.crosstalk` to
+first order in p only: a single avalanche reaches 2 counts with
+probability p(1 - p) here and p in the algebra.
 
 One chunk loop serves one arm and two. The main thread merges the
 chunks' counts and writes the optional per-pulse event stream strictly in
@@ -40,11 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector import CROSSTALK_MODES, DetectorParams, _crosstalk_and_clamp, joint_photocount
+from .detector import CROSSTALK_MODES, DetectorParams, _count_law, joint_photocount
 from .estimators import _sweep_point
 from .histograms import CountHistogram, JointCountHistogram, SweepSeries
 from .io import atomic_open
-from .sources import SourceSpec, pmf_coherent
+from .sources import SourceSpec
 
 CHUNK = 1 << 16
 
@@ -106,16 +107,6 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _recorded_law(spec: SourceSpec, det: DetectorParams, mode: str) -> np.ndarray:
-    """Law of the recorded counts of an arm that has the source to itself:
-    its primary avalanches, the photons that survive loss convolved with
-    the dark avalanches, through the detector's crosstalk and clamp."""
-    avalanches = np.convolve(
-        spec.after_loss(det.eta).probs, pmf_coherent(det.dark_mean).probs
-    )
-    return _crosstalk_and_clamp(avalanches, det.p_xt, det.n_max, mode)
-
-
 def _draw(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     u = rng.random(size)
     return np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
@@ -164,7 +155,7 @@ def _laws(config: SimulationConfig, dets, shared: bool) -> list:
     if shared:
         joint = joint_photocount(source.distribution(), *dets, crosstalk_mode=mode)
         return [_cdf(joint.probs.ravel())]
-    return [_cdf(_recorded_law(source, det, mode)) for det in dets]
+    return [_cdf(_count_law(source.after_loss(det.eta).probs, det, mode)) for det in dets]
 
 
 def _run_chunk(cdfs, shape, seed, chunk, size, keep_events):

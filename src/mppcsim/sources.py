@@ -4,7 +4,9 @@ Coherent (Poissonian), even-only squeezed-vacuum-like, thermal (geometric),
 multimode twin beams (negative binomial over the shared pair number) and
 Fock states. All constructors truncate where the residual tail mass drops
 below ``TAIL_TARGET`` and carry that residual explicitly, so downstream
-sums over photon number are finite with a quantified error.
+sums over photon number are finite with a quantified error. Detection
+loss has a closed form per kind (``SourceSpec.after_loss``); the dark
+stage and everything after it live only in ``detector._count_law``.
 """
 from __future__ import annotations
 
@@ -46,13 +48,11 @@ def _checked_probs(probs, what: str, slack: float = 1e-12) -> np.ndarray:
 class PhotonNumberDistribution:
     """Truncated probability vector over photon number k = 0..k_max.
 
-    ``tail_bound`` is the mass beyond k_max; ``mean_hint`` the analytic
-    mean when the constructor knows it.
+    ``tail_bound`` is the mass beyond k_max.
     """
 
     probs: np.ndarray
     tail_bound: float = 0.0
-    mean_hint: float = float("nan")
 
     def __post_init__(self):
         probs = _checked_probs(self.probs, "probabilities", slack=1e-15)
@@ -109,16 +109,16 @@ class SourceSpec:
     def is_twin(self) -> bool:
         return self.kind in TWIN_KINDS
 
-    def distribution(self, k_max: int | None = None) -> PhotonNumberDistribution:
+    def distribution(self) -> PhotonNumberDistribution:
         if self.kind == "coherent":
-            return pmf_coherent(self.mean, k_max)
+            return pmf_coherent(self.mean)
         if self.kind == "even_poisson":
-            return pmf_even_poisson(self.mean, k_max)
+            return pmf_even_poisson(self.mean)
         if self.kind == "fock":
-            return pmf_fock(int(self.fock_n), k_max)
+            return pmf_fock(int(self.fock_n))
         if self.kind in ("thermal", "twin_thermal"):
-            return pmf_thermal(self.mean, k_max)
-        return pmf_twin_multimode(self.mean, self.modes, k_max)
+            return pmf_thermal(self.mean)
+        return pmf_twin_multimode(self.mean, self.modes)
 
     def after_loss(self, eta: float) -> PhotonNumberDistribution:
         """Law after each photon survives with probability ``eta``, in closed
@@ -127,18 +127,17 @@ class SourceSpec:
         if not 0.0 <= eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
         if self.kind == "even_poisson":
-            return _pmf_even_after_loss(self.mean, eta, None)
+            return _pmf_even_after_loss(self.mean, eta)
         if self.kind == "fock":
             n = int(self.fock_n)
-            probs = stats.binom.pmf(np.arange(max(n, 1) + 1), n, eta)  # k_max >= 1
-            return PhotonNumberDistribution(probs, 0.0, float(n * eta))
+            return PhotonNumberDistribution(stats.binom.pmf(np.arange(max(n, 1) + 1), n, eta))
         return SourceSpec(self.kind, eta * self.mean, self.modes).distribution()
 
 
-def _extend_until(tail_of, k_request: int | None, k_floor: int) -> tuple[int, float]:
-    """Smallest cutoff >= the caller's request with tail mass below target,
-    and that tail mass."""
-    k = max(k_request or 0, k_floor, 1)
+def _extend_until(tail_of, k_floor: int) -> tuple[int, float]:
+    """Smallest cutoff >= ``k_floor`` on its doubling ladder with tail mass
+    below target, and that tail mass."""
+    k = max(k_floor, 1)
     while (tail := tail_of(k)) >= TAIL_TARGET:
         k = 2 * k + 16
         if k > 5_000_000:
@@ -146,38 +145,38 @@ def _extend_until(tail_of, k_request: int | None, k_floor: int) -> tuple[int, fl
     return k, tail
 
 
-def _truncated(mean, var, law, params, k_max, weight=lambda k: 1.0, mean_hint=None):
-    """``law.pmf(k, *params()) * weight(k)`` for k = 0..k, with k from k_max up
-    until ``law.sf(k) * weight(0)``, the reported tail bound, falls below
-    target; vacuum at zero ``mean``. ``params`` and ``weight`` run once the
-    mean is checked."""
+def _truncated(mean, var, law, params, weight=lambda k: 1.0):
+    """``law.pmf(k, *params()) * weight(k)`` for k = 0..k, with k grown from
+    about 12 standard deviations above ``mean`` until ``law.sf(k) * weight(0)``,
+    the reported tail bound, falls below target; vacuum at zero ``mean``.
+    ``params`` and ``weight`` run once the mean is checked."""
     if mean < 0:
         raise ValueError("mean must be non-negative")
     if mean == 0:
-        return PhotonNumberDistribution(np.array([1.0, 0.0]), 0.0, 0.0)
+        return PhotonNumberDistribution(np.array([1.0, 0.0]))
     args = params()
     floor = int(mean + 12 * math.sqrt(var) + 25)
-    k, tail = _extend_until(lambda n: law.sf(n, *args) * weight(0), k_max, floor)
+    k, tail = _extend_until(lambda n: law.sf(n, *args) * weight(0), floor)
     probs = law.pmf(np.arange(k + 1), *args) * weight(np.arange(k + 1))
-    return PhotonNumberDistribution(probs, tail, mean if mean_hint is None else mean_hint)
+    return PhotonNumberDistribution(probs, tail)
 
 
-def pmf_coherent(mean: float, k_max: int | None = None) -> PhotonNumberDistribution:
+def pmf_coherent(mean: float) -> PhotonNumberDistribution:
     """Poisson photon-number distribution of a coherent state."""
-    return _truncated(mean, mean, stats.poisson, lambda: (mean,), k_max)
+    return _truncated(mean, mean, stats.poisson, lambda: (mean,))
 
 
-def pmf_even_poisson(mean: float, k_max: int | None = None) -> PhotonNumberDistribution:
+def pmf_even_poisson(mean: float) -> PhotonNumberDistribution:
     """Poisson weights restricted to even photon numbers, renormalized.
 
     The even-k Poisson mass is (1 + exp(-2*mean))/2, which is the
     normalizer; odd bins are exactly zero. Models single-mode squeezed
     vacuum at the photon-number level.
     """
-    return _pmf_even_after_loss(mean, 1.0, k_max)
+    return _pmf_even_after_loss(mean, 1.0)
 
 
-def _pmf_even_after_loss(mean: float, eta: float, k_max) -> PhotonNumberDistribution:
+def _pmf_even_after_loss(mean: float, eta: float) -> PhotonNumberDistribution:
     """``pmf_even_poisson(mean)`` after binomial loss ``eta``, in closed form:
     Poisson(eta*mean)(k) * (1 + (-1)^k exp(-2*mean*(1-eta))) / (1 + exp(-2*mean))."""
     lam = eta * mean
@@ -186,18 +185,15 @@ def _pmf_even_after_loss(mean: float, eta: float, k_max) -> PhotonNumberDistribu
         odd = math.exp(-2.0 * mean * (1.0 - eta))
         return (1.0 + (-1.0) ** k * odd) / (1.0 + math.exp(-2.0 * mean))
 
-    hint = lam * math.tanh(mean)
-    return _truncated(lam, lam, stats.poisson, lambda: (lam,), k_max, weight, hint)
+    return _truncated(lam, lam, stats.poisson, lambda: (lam,), weight)
 
 
-def pmf_thermal(mean: float, k_max: int | None = None) -> PhotonNumberDistribution:
+def pmf_thermal(mean: float) -> PhotonNumberDistribution:
     """Single-mode thermal (geometric) distribution: P(n) = m^n/(1+m)^(n+1)."""
-    return pmf_twin_multimode(mean, 1.0, k_max)
+    return pmf_twin_multimode(mean, 1.0)
 
 
-def pmf_twin_multimode(
-    mean: float, modes: float, k_max: int | None = None
-) -> PhotonNumberDistribution:
+def pmf_twin_multimode(mean: float, modes: float) -> PhotonNumberDistribution:
     """Pair-number distribution of a multimode twin beam.
 
     The total over ``modes`` thermal modes of mean ``mean/modes`` each,
@@ -207,20 +203,17 @@ def pmf_twin_multimode(
     if modes < 1:
         raise ValueError("modes must be >= 1")
     r = float(modes)
-    return _truncated(
-        mean, mean * (1.0 + mean / r), stats.nbinom,
-        lambda: (r, 1.0 / (1.0 + mean / r)), k_max,
-    )
+    return _truncated(mean, mean * (1.0 + mean / r), stats.nbinom,
+                      lambda: (r, 1.0 / (1.0 + mean / r)))
 
 
-def pmf_fock(n: int, k_max: int | None = None) -> PhotonNumberDistribution:
+def pmf_fock(n: int) -> PhotonNumberDistribution:
     """Deterministic n-photon state."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    size = max(n + 1, (k_max or 0) + 1, 2)
-    probs = np.zeros(size)
+    probs = np.zeros(max(n + 1, 2))
     probs[n] = 1.0
-    return PhotonNumberDistribution(probs, 0.0, float(n))
+    return PhotonNumberDistribution(probs)
 
 
 def true_g2_of_dist(dist: PhotonNumberDistribution) -> float:

@@ -52,6 +52,16 @@ def test_fit_with_nonunit_g0():
 def test_fit_degenerate_sweep_rejected():
     with pytest.raises(IllConditionedFitError):
         SweepSeries(np.array([[0.5, 1.2, 0.01]] * 4))
+    points = synthetic_sweep(0.1).points
+    for col in range(3):
+        for bad in (np.nan, np.inf):
+            broken = points.copy()
+            broken[4, col] = bad
+            with pytest.raises(ValueError, match="finite"):
+                SweepSeries(broken)
+    for g0 in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="g0"):
+            fit_crosstalk(synthetic_sweep(0.1), g0=g0)
 
 
 def test_cod_matches_recomputation():

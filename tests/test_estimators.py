@@ -17,6 +17,7 @@ from mppcsim import (
     subtract_dark,
     true_g2_of_dist,
 )
+from mppcsim.estimators import N_BOOTSTRAP
 from mppcsim.sources import PhotonNumberDistribution
 
 
@@ -69,9 +70,7 @@ def test_g2_loss_invariance_distribution_level():
     k = np.arange(dist.probs.size)
     for eta in (0.05, 0.3, 0.9, 1.0):
         thin = stats.binom.pmf(k[:, None], k[None, :], eta) @ dist.probs
-        thinned = PhotonNumberDistribution(
-            thin, max(0.0, 1 - thin.sum()), float(k @ thin)
-        )
+        thinned = PhotonNumberDistribution(thin, max(0.0, 1 - thin.sum()))
         assert true_g2_of_dist(thinned) == pytest.approx(base, abs=1e-9)
 
 
@@ -96,8 +95,8 @@ def test_mean_counts_per_pulse():
 def test_cross_g2_product_histogram():
     marg = np.array([8_000, 4_000, 4_000])
     joint = np.outer(marg, marg) / marg.sum()  # divides exactly
-    jh = JointCountHistogram(int(marg.sum()), joint)
-    est = g2_cross_from_joint(jh, seed=5)
+    jh = JointCountHistogram(int(marg.sum()), joint, meta={"seed": 5})
+    est = g2_cross_from_joint(jh)
     assert est.value == pytest.approx(1.0, abs=0.01)
     assert est.method == "bootstrap"
 
@@ -107,8 +106,8 @@ def test_cross_g2_correlated_thermal_pairs():
     dist = pmf_thermal(1.0)
     t = 1_000_000
     counts = np.diag(t * dist.probs)
-    jh = JointCountHistogram(t, counts)
-    value = g2_cross_from_joint(jh, seed=1).value
+    jh = JointCountHistogram(t, counts, meta={"seed": 1})
+    value = g2_cross_from_joint(jh).value
     # truncated-summation oracle for <n^2>/<n>^2
     k = np.arange(dist.probs.size)
     oracle = float((k**2) @ dist.probs) / float(k @ dist.probs) ** 2
@@ -119,20 +118,20 @@ def test_cross_g2_correlated_thermal_pairs():
 def test_cross_g2_deterministic_counts():
     counts = np.zeros((3, 3))
     counts[1, 1] = 50
-    jh = JointCountHistogram(50, counts)
-    assert g2_cross_from_joint(jh, seed=2).value == pytest.approx(1.0, abs=1e-12)
+    jh = JointCountHistogram(50, counts, meta={"seed": 2})
+    assert g2_cross_from_joint(jh).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_g2_zero_marginal():
     counts = np.zeros((2, 2))
     counts[0, 0] = 10
     with pytest.raises(UndefinedStatisticError):
-        g2_cross_from_joint(JointCountHistogram(10, counts), seed=0)
+        g2_cross_from_joint(JointCountHistogram(10, counts, meta={"seed": 0}))
 
 
 def test_nrf_diagonal_is_zero():
     counts = np.diag([10, 20, 30])
-    est = nrf_from_joint(JointCountHistogram(60, counts), seed=0)
+    est = nrf_from_joint(JointCountHistogram(60, counts, meta={"seed": 0}))
     assert est.value == 0.0
 
 
@@ -140,7 +139,7 @@ def test_nrf_hand_fixture():
     counts = np.zeros((3, 3))
     for s, i in [(0, 1), (1, 0), (1, 1), (2, 2)]:
         counts[s, i] += 1
-    est = nrf_from_joint(JointCountHistogram(4, counts), seed=0)
+    est = nrf_from_joint(JointCountHistogram(4, counts, meta={"seed": 0}))
     assert est.value == pytest.approx((2 / 3) / 2, abs=1e-12)
 
 
@@ -151,25 +150,26 @@ def test_nrf_product_form_identity():
     pb = np.array([0.6, 0.4])
     t = 10**12  # large enough that the (T-1) correction is below 1e-9
     joint = t * np.outer(pa, pb)
-    jh = JointCountHistogram(t, joint)
+    jh = JointCountHistogram(t, joint, meta={"seed": 0})
     ka, kb = np.arange(3), np.arange(2)
     mean_a, mean_b = ka @ pa, kb @ pb
     var_a = (ka**2) @ pa - mean_a**2
     var_b = (kb**2) @ pb - mean_b**2
     expected = (var_a + var_b) / (mean_a + mean_b)
-    assert nrf_from_joint(jh, seed=0).value == pytest.approx(expected, abs=1e-9)
+    assert nrf_from_joint(jh).value == pytest.approx(expected, abs=1e-9)
 
 
 def test_bootstrap_errors_are_seed_deterministic():
     rng = np.random.default_rng(0)
     counts = rng.integers(0, 50, size=(4, 4))
-    jh = JointCountHistogram(int(counts.sum()), counts)
-    a = nrf_from_joint(jh, seed=99)
-    b = nrf_from_joint(jh, seed=99)
-    c = nrf_from_joint(jh, seed=100)
-    assert a.std_err == b.std_err
-    assert a.std_err != c.std_err
-    assert nrf_from_joint(jh, seed=101).std_err > 0
+
+    def std_err(seed):
+        joint = JointCountHistogram(int(counts.sum()), counts, meta={"seed": seed})
+        return nrf_from_joint(joint).std_err
+
+    assert std_err(99) == std_err(99)
+    assert std_err(99) != std_err(100)
+    assert std_err(101) > 0
 
 
 def _loop_bootstrap(joint, stat, n_boot, seed):
@@ -214,11 +214,11 @@ def _loop_nrf(counts, trials):
     [(nrf_from_joint, _loop_nrf), (g2_cross_from_joint, _loop_cross_g2)],
 )
 def test_vectorised_bootstrap_matches_replicate_loop(counts, estimator, stat):
-    joint = JointCountHistogram(int(counts.sum()), counts)
-    est = estimator(joint, n_boot=300, seed=7)
-    reps = _loop_bootstrap(joint, stat, 300, 7)
+    joint = JointCountHistogram(int(counts.sum()), counts, meta={"seed": 7})
+    est = estimator(joint)
+    reps = _loop_bootstrap(joint, stat, N_BOOTSTRAP, 7)
     if counts[0, 0] == 57:
-        assert 1 < reps.size < 300  # undefined replicates were dropped
+        assert 1 < reps.size < N_BOOTSTRAP  # undefined replicates were dropped
     assert est.value == pytest.approx(stat(counts, joint.trials), rel=1e-12)
     assert est.std_err == pytest.approx(reps.std(ddof=1), rel=1e-12)
 

@@ -374,6 +374,24 @@ def test_cli_calibrate_needs_three_points(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_calibrate_rejects_non_finite_input(tmp_path, capsys):
+    n = np.geomspace(0.01, 2.0, 10)
+    pts = np.column_stack([n, [measured_g2(0.18, 1.0, v) for v in n], np.full(10, 1e-3)])
+    good = tmp_path / "sweep.csv"
+    mio.write_g2_sweep(good, SweepSeries(pts))
+    lines = good.read_text().splitlines()
+    for col in range(3):
+        fields = lines[5].split(",")
+        fields[col] = "nan"
+        bad = tmp_path / f"nan{col}.csv"
+        bad.write_text("\n".join([*lines[:5], ",".join(fields), *lines[6:]]) + "\n")
+        assert main(["calibrate", str(bad)]) == 2
+    for g0 in ("nan", "inf"):
+        assert main(["calibrate", str(good), "--g0", g0]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert main(["calibrate", str(good), "--quiet"]) == 0
+
+
 def test_cli_nrf(tmp_path, capsys):
     path = tmp_path / "j.json"
     counts = np.diag([500, 300, 200])

@@ -27,6 +27,7 @@ from mppcsim import (
     simulate_twin,
     sweep,
 )
+from mppcsim.detector import _count_law
 from mppcsim.histograms import SweepSeries
 from mppcsim import montecarlo
 from mppcsim.montecarlo import CHUNK, EventRecord, read_events
@@ -238,6 +239,21 @@ def test_unshared_arms_follow_the_analytic_channel(source, dark, mode):
     assert _pooled_pvalue(single, law_s) > 1e-7
 
 
+@pytest.mark.parametrize("mode", ["binomial", "cascade"])
+@pytest.mark.parametrize("source", UNSHARED_SOURCES, ids=lambda s: s.kind)
+def test_unshared_arm_law_equals_the_channel_matrix(source, mode):
+    # the law an unshared arm draws from thins the source in closed form;
+    # the matrix thins it by Pascal's rule, one column per photon number
+    dist = source.distribution()
+    for dark in (0.0, 0.05, 0.4):
+        for n_max in (3, 12, 60):
+            det = DetectorParams(eta=0.37, p_xt=0.3, n_max=n_max, dark_mean=dark)
+            law = _count_law(source.after_loss(det.eta).probs, det, mode)
+            expect = channel_matrix(det, dist.k_max, mode) @ dist.probs
+            assert law.shape == expect.shape
+            assert np.abs(law - expect).max() <= 1e-12
+
+
 TWIN_SOURCES = [
     SourceSpec("twin_thermal", mean=3.0),
     SourceSpec("twin_multimode", mean=5.0, modes=3.0),
@@ -334,7 +350,7 @@ def test_twin_fock_pair_perfectly_correlated():
     )
     joint = simulate_twin(cfg)
     assert joint.counts[1, 1] == 2000
-    assert nrf_from_joint(joint, seed=0).value == 0.0
+    assert nrf_from_joint(joint).value == 0.0
 
 
 def test_twin_thermal_nrf_near_model_limit():

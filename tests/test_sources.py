@@ -135,27 +135,20 @@ def test_poisson_g2_is_one(lam):
 
 
 @pytest.mark.parametrize(
-    "dist",
+    "dist, mean",
     [
-        pmf_coherent(0.3),
-        pmf_coherent(7.0),
-        pmf_even_poisson(2.2),
-        pmf_thermal(1.7),
-        pmf_twin_multimode(2.4, 3.5),
-        pmf_fock(4),
+        pytest.param(pmf_coherent(0.3), 0.3, id="coherent-0.3"),
+        pytest.param(pmf_coherent(7.0), 7.0, id="coherent-7"),
+        pytest.param(pmf_even_poisson(2.2), 2.2 * math.tanh(2.2), id="even_poisson-2.2"),
+        pytest.param(pmf_thermal(1.7), 1.7, id="thermal-1.7"),
+        pytest.param(pmf_twin_multimode(2.4, 3.5), 2.4, id="twin_multimode-2.4"),
+        pytest.param(pmf_fock(4), 4.0, id="fock-4"),
     ],
 )
-def test_normalization_and_mean_hint(dist):
+def test_normalization_and_mean(dist, mean):
     assert abs(dist.probs.sum() + dist.tail_bound - 1.0) <= 1e-12
     assert dist.tail_bound <= 1e-12
-    assert dist.mean == pytest.approx(dist.mean_hint, abs=1e-9)
-
-
-def test_requested_k_max_is_honored_and_extended():
-    d = pmf_coherent(1.0, k_max=500)
-    assert d.k_max >= 500
-    small = pmf_coherent(50.0, k_max=3)  # far too small, must auto-extend
-    assert small.k_max > 50
+    assert dist.mean == pytest.approx(mean, abs=1e-9)
 
 
 def mass_beyond(spec, k_max):
@@ -181,13 +174,11 @@ def mass_beyond(spec, k_max):
     mean=st.floats(0.0, 300.0),
     modes=st.floats(1.0, 20.0),
     fock_n=st.integers(0, 60),
-    k_max=st.none() | st.integers(1, 800),
 )
-@example("coherent", 297.209, 1.0, 0, None)  # its pmf sums to 1 + 9.9e-14
-@example("coherent", 4.5, 1.0, 0, 238)  # mass beyond: 8.8e-313, subnormal
-def test_tail_bound_covers_the_mass_beyond_k_max(kind, mean, modes, fock_n, k_max):
+@example("coherent", 297.209, 1.0, 0)  # its pmf sums to 1 + 9.9e-14
+def test_tail_bound_covers_the_mass_beyond_k_max(kind, mean, modes, fock_n):
     spec = SourceSpec(kind, mean, modes, fock_n)
-    dist = spec.distribution(k_max)
+    dist = spec.distribution()
     assert dist.tail_bound <= TAIL_TARGET
     # scipy's sf underflows to 0 below the smallest normal float
     tiny = np.finfo(float).tiny
@@ -257,14 +248,13 @@ def test_after_loss_matches_explicit_thinning(spec, eta):
     assert np.abs(a - b).max() <= 1e-12
     assert got.tail_bound <= 1e-12
     assert got.mean == pytest.approx(eta * full.mean, abs=1e-9)
-    assert got.mean_hint == pytest.approx(eta * full.mean_hint, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", AFTER_LOSS_SPECS, ids=_spec_id)
 def test_after_loss_at_unit_efficiency_is_the_source(spec):
     full, kept = spec.distribution(), spec.after_loss(1.0)
     assert np.array_equal(kept.probs, full.probs)
-    assert (kept.tail_bound, kept.mean_hint) == (full.tail_bound, full.mean_hint)
+    assert kept.tail_bound == full.tail_bound
     for eta in (-0.1, 1.1):
         with pytest.raises(ValueError):
             spec.after_loss(eta)
