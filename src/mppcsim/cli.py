@@ -155,7 +155,8 @@ def _source_from_flags(args) -> SourceSpec:
     if args.mean is None:
         raise CliError(f"--mean is required with --source {args.source}")
     if kind == "twin_multimode":
-        return SourceSpec(kind, mean=args.mean, modes=args.modes or 1.0)
+        modes = 1.0 if args.modes is None else args.modes
+        return SourceSpec(kind, mean=args.mean, modes=modes)
     if args.modes is not None:
         raise CliError("--modes requires --source twin-multimode")
     return SourceSpec(kind, mean=args.mean)

@@ -172,7 +172,12 @@ def read_povm_csv(path) -> np.ndarray:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("N,"):
         raise SchemaError(f"{path}: expected a response-matrix header")
-    rows = [[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]]
+    try:
+        rows = [[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]]
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if {len(row) for row in rows} != {lines[0].count(",")}:
+        raise SchemaError(f"{path}: expected one or more rows as wide as the header")
     return np.asarray(rows, dtype=float)
 
 

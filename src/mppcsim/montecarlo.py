@@ -26,10 +26,11 @@ chunks' counts and writes the optional per-pulse event stream strictly in
 chunk order, one format operation per chunk; the stream is written
 atomically (temp file plus rename), so an interrupted run leaves no
 partial file. :func:`read_events` parses such a file in bulk into integer
-columns before it builds the per-pulse records.
+columns, then builds the records in one pass with the collector paused.
 """
 from __future__ import annotations
 
+import gc
 import math
 import os
 from collections import deque
@@ -240,11 +241,12 @@ def simulate_independent(config: SimulationConfig, events_path=None) -> JointCou
 def read_events(path) -> list[EventRecord]:
     """Read back an event-stream CSV written by the simulate functions.
 
-    The file is parsed in bulk into integer columns, from which one
-    :class:`EventRecord` per pulse is built. CRLF and LF line ends both
-    read. A wrong header, a missing, negative or non-integer field, rows
-    that mix one and two arms, or a pulse column other than 0, 1, ..., T-1
-    raise ``ValueError`` naming the path.
+    The file is parsed in bulk into integer columns, then one
+    :class:`EventRecord` per pulse is built in one C-level pass with the
+    cyclic garbage collector paused (records hold only ints, so form no
+    cycles). CRLF and LF line ends both read. A wrong header, a missing,
+    negative or non-integer field, rows that mix one and two arms, or a pulse
+    column other than 0, 1, ..., T-1 raise ``ValueError`` naming the path.
     """
     with open(path, "rb") as fh:
         header, _, body = fh.read().partition(b"\n")
@@ -272,7 +274,14 @@ def read_events(path) -> list[EventRecord]:
     if not np.array_equal(cols[0], np.arange(cols.shape[1])):
         raise ValueError(f"{path}: pulse column is not 0, 1, ..., {cols.shape[1] - 1}")
     counts_i = repeat(None) if one_arm[0] else cols[2].tolist()
-    return list(map(EventRecord._make, zip(cols[0].tolist(), cols[1].tolist(), counts_i)))
+    rows = zip(cols[0].tolist(), cols[1].tolist(), counts_i)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(tuple.__new__, repeat(EventRecord), rows))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _subseed(seed: int, index: int) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import stat
 import warnings
 
@@ -122,6 +123,22 @@ def test_povm_csv_round_trip(tmp_path):
     assert np.allclose(back.sum(axis=0), 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("N,0,1,2\n0,1,0,0\n1,0,1\n", "as wide as the header"),
+        ("N,0,1\n0,1,0\n1,x,1\n", "could not convert"),
+        ("N,0,1\n", "as wide as the header"),
+    ],
+    ids=["missing-column", "non-numeric-entry", "no-rows"],
+)
+def test_povm_csv_bad_input_is_schema_error_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "q.csv"
+    path.write_text(text)
+    with pytest.raises(mio.SchemaError, match=f"^{re.escape(str(path))}: .*{message}"):
+        mio.read_povm_csv(path)
+
+
 def test_atomic_write_leaves_no_droppings(tmp_path):
     path = tmp_path / "x.txt"
     mio.atomic_write_text(path, "hello")
@@ -208,6 +225,19 @@ def test_cli_simulate_flag_validation(tmp_path, capsys):
     )
     assert rc == 2
     assert "--mean" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_zero_modes(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    rc = main(
+        [
+            "simulate", "--source", "twin-multimode", "--mean", "1", "--modes", "0",
+            "--trials", "10", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "modes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_twin_writes_joint(tmp_path):

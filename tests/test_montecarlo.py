@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import re
@@ -580,6 +581,91 @@ def test_read_events_rejects_malformed_file_naming_it(tmp_path, text):
     path.write_bytes(text.encode())
     with pytest.raises(ValueError, match=re.escape(str(path))):
         read_events(path)
+
+
+@pytest.fixture(scope="module")
+def event_files(tmp_path_factory):
+    """A one-arm and a two-arm event file of 2^17 pulses each."""
+    root = tmp_path_factory.mktemp("gc_events")
+    paths = {1: root / "one.csv", 2: root / "two.csv"}
+    det = DetectorParams(eta=0.2, p_xt=0.177, n_max=400)
+    simulate_single(single_cfg(detector_s=det, trials=1 << 17), events_path=str(paths[1]))
+    simulate_twin(
+        SimulationConfig(
+            source=SourceSpec("twin_thermal", mean=1.0),
+            detector_s=DetectorParams(eta=0.2, p_xt=0.177, n_max=3),
+            detector_i=DetectorParams(eta=0.2, p_xt=0.177, n_max=3),
+            trials=1 << 17,
+            seed=1,
+        ),
+        events_path=str(paths[2]),
+    )
+    return paths
+
+
+def _collections_during(call):
+    """Generations of the cyclic collections that start while ``call`` runs."""
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(hook)
+    return starts
+
+
+@pytest.mark.parametrize("arms", [1, 2])
+def test_read_events_sets_off_no_collection(event_files, arms):
+    events = []
+    assert _collections_during(lambda: events.extend(read_events(event_files[arms]))) == []
+    assert len(events) == 1 << 17
+    assert gc.isenabled()
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_read_events_restores_the_collector_state(event_files, gc_state):
+    read_events(event_files[2])
+    assert gc.isenabled() is gc_state
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pulse,counts_s,counts_i\r\n0,3,\r\n1,x,\r\n",
+        "pulse,counts_s,counts_i\r\n0,1,\r\n2,1,\r\n",
+    ],
+    ids=["non-integer-field", "pulse-gap"],
+)
+def test_read_events_restores_the_collector_state_when_it_raises(tmp_path, gc_state, text):
+    path = tmp_path / "events.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_events(path)
+    assert gc.isenabled() is gc_state
+
+
+def test_read_events_restores_the_collector_state_when_the_build_fails(
+    tmp_path, monkeypatch, gc_state
+):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"pulse,counts_s,counts_i\r\n0,1,\r\n")
+    monkeypatch.setattr(montecarlo, "EventRecord", int)  # not a tuple type
+    with pytest.raises(TypeError):
+        read_events(path)
+    assert gc.isenabled() is gc_state
 
 
 @pytest.mark.parametrize("existing", [None, "old events\n"])
