@@ -240,6 +240,8 @@ def _cmd_nrf(args) -> int:
         raise CliError(f"--eta must lie in (0, 1], got {args.eta}")
     if args.xt is not None and not 0.0 <= args.xt < 1.0:
         raise CliError(f"--xt must lie in [0, 1), got {args.xt}")
+    if args.eta is not None and args.xt is None:
+        raise CliError("--eta needs --xt to convert counts to photons")
     rows = []
     for path in args.inputs:
         joint = io.read_joint_histogram(path)

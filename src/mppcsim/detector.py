@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .errors import UndefinedStatisticError
 from .estimators import _nrf
 from .sources import PhotonNumberDistribution, _checked_probs, pmf_coherent
 
@@ -222,10 +221,7 @@ def nrf_analytic(joint: JointPhotocountDistribution) -> float:
     Evaluated exactly from the joint probabilities by the estimators' NRF
     statistic, taking the table as one trial with the population variance.
     """
-    value, defined = _nrf(joint.probs[None], 1, ddof=0)
-    if not defined[0]:
-        raise UndefinedStatisticError("NRF undefined for zero total counts")
-    return float(value[0])
+    return _nrf(joint.probs, 1, ddof=0)[0]
 
 
 def nrf_limit_coherent(p: float) -> float:

@@ -1,14 +1,18 @@
 """Statistics from measured or simulated photocount histograms.
 
 The g2 estimator treats every pair of pixels as a coincidence circuit:
-pairwise coincidences per pulse divided by the squared singles rate.
-Uncertainties come from first-order propagation with Poisson bin
-variances; the joint-histogram statistics (cross-g2, noise reduction
-factor) use a deterministic multinomial bootstrap instead, since their
-bins are correlated through the shared trial count.
+pairwise coincidences per pulse divided by the squared singles rate. Its
+error propagates independent Poisson fluctuations of each bin. The
+two-detector statistics of a joint histogram, the cross-g2 and the noise
+reduction factor (NRF), propagate to first order (the delta method) over
+the cell frequencies of a multinomial table, which carries the
+correlation between cells through the shared trial count (Agresti,
+*Categorical Data Analysis*). Every error depends on the counts alone,
+not on the run seed in the metadata.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,8 +20,6 @@ import numpy as np
 
 from .errors import DarkSubtractionWarning, UndefinedStatisticError
 from .histograms import CountHistogram, JointCountHistogram
-
-N_BOOTSTRAP = 200
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,6 @@ class EstimateWithError:
     def __post_init__(self):
         if self.std_err < 0:
             raise ValueError("std_err must be non-negative")
-
-
-def _seed_from_meta(meta) -> int:
-    try:
-        return int(meta.get("seed", 0))
-    except (TypeError, ValueError):
-        return 0
 
 
 def g2_from_histogram(hist: CountHistogram) -> EstimateWithError:
@@ -71,67 +66,63 @@ def _sweep_point(hist: CountHistogram) -> tuple[float, float, float]:
     return mean_counts_per_pulse(hist), est.value, est.std_err
 
 
-def _bootstrap(joint: JointCountHistogram, stat, undefined: str):
-    """Point value and multinomial-bootstrap error of ``stat``, over
-    ``N_BOOTSTRAP`` replicates drawn from the run seed in ``joint.meta``.
+def _propagated(joint: JointCountHistogram, value: float, grad: np.ndarray) -> EstimateWithError:
+    """``value`` with its first-order error under multinomial sampling of
+    the cells of ``joint``.
 
-    ``stat(tables, trials)`` takes a stack of count tables of shape
-    (n, N_s, N_i) and returns each table's value and whether it is defined;
-    undefined replicates are dropped.
+    ``grad`` is the statistic's gradient in the cell frequencies
+    p = counts/T, so Var = (sum p g^2 - (sum p g)^2)/T.
     """
-    value, defined = stat(joint.counts[None], joint.trials)
-    if not defined[0]:
-        raise UndefinedStatisticError(undefined)
-    flat = joint.counts.ravel()
-    p = flat / flat.sum()
-    ss = np.random.SeedSequence(_seed_from_meta(joint.meta))
-    rng = np.random.Generator(np.random.Philox(ss))
-    draws = rng.multinomial(joint.trials, p, size=N_BOOTSTRAP).astype(float)
-    reps, defined = stat(draws.reshape(N_BOOTSTRAP, *joint.counts.shape), joint.trials)
-    reps = reps[defined]
-    err = float(reps.std(ddof=1)) if reps.size > 1 else 0.0
-    return EstimateWithError(float(value[0]), err, "bootstrap")
-
-
-def _cross_g2(tables: np.ndarray, trials: int):
-    n_s = np.arange(tables.shape[1], dtype=float)
-    n_i = np.arange(tables.shape[2], dtype=float)
-    mean_s = tables.sum(axis=2) @ n_s / trials
-    mean_i = tables.sum(axis=1) @ n_i / trials
-    defined = (mean_s > 0) & (mean_i > 0)
-    mean_si = n_s @ tables @ n_i / trials
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return mean_si / (mean_s * mean_i), defined
+    p = np.maximum(joint.counts, 0.0) / joint.trials
+    mean = float((p * grad).sum())
+    var = (float((p * grad * grad).sum()) - mean * mean) / joint.trials
+    return EstimateWithError(value, math.sqrt(max(var, 0.0)), "propagation")
 
 
 def g2_cross_from_joint(joint: JointCountHistogram) -> EstimateWithError:
-    """Two-detector correlation <N_s N_i>/(<N_s><N_i>) with bootstrap error."""
-    return _bootstrap(joint, _cross_g2, "cross g2 undefined: zero marginal mean")
+    """Two-detector correlation <N_s N_i>/(<N_s><N_i>) with propagated error."""
+    table, trials = joint.counts, joint.trials
+    n_s = np.arange(table.shape[0], dtype=float)
+    n_i = np.arange(table.shape[1], dtype=float)
+    mean_s = table.sum(axis=1) @ n_s / trials
+    mean_i = table.sum(axis=0) @ n_i / trials
+    if mean_s <= 0 or mean_i <= 0:
+        raise UndefinedStatisticError("cross g2 undefined: zero marginal mean")
+    mean_si = n_s @ table @ n_i / trials
+    value = float(mean_si / (mean_s * mean_i))
+    u_s, u_i = n_s / mean_s, n_i / mean_i
+    return _propagated(joint, value, np.outer(u_s, u_i) - value * np.add.outer(u_s, u_i))
 
 
-def _nrf(tables: np.ndarray, trials: int, ddof: int = 1):
-    n_s = np.arange(tables.shape[1], dtype=float)
-    n_i = np.arange(tables.shape[2], dtype=float)
+def _nrf(table: np.ndarray, trials: int, ddof: int = 1):
+    """NRF of one count table and its gradient in the cell frequencies.
+
+    ddof 1 takes the unbiased sample variance of ``trials`` pulses; ddof 0
+    the variance of a probability table (``trials`` 1).
+    """
+    n_s = np.arange(table.shape[0], dtype=float)
+    n_i = np.arange(table.shape[1], dtype=float)
     diff = n_s[:, None] - n_i[None, :]
     tot = n_s[:, None] + n_i[None, :]
-    mean_sum = (tot * tables).sum(axis=(1, 2)) / trials
-    defined = mean_sum > 0
-    mean_diff = (diff * tables).sum(axis=(1, 2)) / trials
-    ss = (diff**2 * tables).sum(axis=(1, 2))
-    # ddof 1: unbiased sample variance; 0: variance of a probability table
+    mean_sum = (tot * table).sum() / trials
+    if mean_sum <= 0:
+        raise UndefinedStatisticError("NRF undefined: zero total counts")
+    mean_diff = (diff * table).sum() / trials
+    ss = (diff**2 * table).sum()
     var = (ss - trials * mean_diff**2) / (trials - ddof)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return var / mean_sum, defined
+    value = float(var / mean_sum)
+    scale = trials / (trials - ddof)
+    return value, (scale * diff * (diff - 2.0 * mean_diff) - value * tot) / mean_sum
 
 
 def nrf_from_joint(joint: JointCountHistogram) -> EstimateWithError:
-    """Noise reduction factor Var(N_s - N_i)/<N_s + N_i> with bootstrap error.
+    """Noise reduction factor Var(N_s - N_i)/<N_s + N_i> with propagated error.
 
     Uses the unbiased (T-1) sample variance of the count difference.
     """
     if joint.trials < 2:
         raise UndefinedStatisticError("NRF needs at least 2 trials")
-    return _bootstrap(joint, _nrf, "NRF undefined: zero total counts")
+    return _propagated(joint, *_nrf(joint.counts, joint.trials))
 
 
 def subtract_dark(signal: CountHistogram, dark: CountHistogram) -> CountHistogram:

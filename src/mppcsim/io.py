@@ -83,7 +83,10 @@ def write_histogram(path, hist: CountHistogram) -> None:
 
 def _read_counts_doc(path, schema: str) -> tuple[dict, np.ndarray]:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema") != schema:
         raise SchemaError(f"{path}: expected schema {schema!r}")
     missing = [key for key in ("trials", "counts") if key not in doc]
@@ -135,8 +138,13 @@ def _read_rows(path, header: str) -> np.ndarray:
         parts = ln.split(",")
         if len(parts) != 3:
             raise SchemaError(f"{path}: malformed row {ln!r}")
-        rows.append([float(v) for v in parts])
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
     data = np.asarray(rows, dtype=float)
+    if not np.isfinite(data).all():
+        raise SchemaError(f"{path}: entries must be finite")
     if data.size and np.any(np.diff(data[:, 0]) < 0):
         raise SchemaError(f"{path}: rows not sorted by first column")
     return data

@@ -7,17 +7,18 @@ from scipy import stats
 from mppcsim import (
     CountHistogram,
     DarkSubtractionWarning,
+    DetectorParams,
     JointCountHistogram,
     UndefinedStatisticError,
     g2_cross_from_joint,
     g2_from_histogram,
+    joint_photocount,
     mean_counts_per_pulse,
     nrf_from_joint,
     pmf_thermal,
     subtract_dark,
     true_g2_of_dist,
 )
-from mppcsim.estimators import N_BOOTSTRAP
 from mppcsim.sources import PhotonNumberDistribution
 
 
@@ -98,7 +99,7 @@ def test_cross_g2_product_histogram():
     jh = JointCountHistogram(int(marg.sum()), joint, meta={"seed": 5})
     est = g2_cross_from_joint(jh)
     assert est.value == pytest.approx(1.0, abs=0.01)
-    assert est.method == "bootstrap"
+    assert est.method == "propagation"
 
 
 def test_cross_g2_correlated_thermal_pairs():
@@ -159,25 +160,25 @@ def test_nrf_product_form_identity():
     assert nrf_from_joint(jh).value == pytest.approx(expected, abs=1e-9)
 
 
-def test_bootstrap_errors_are_seed_deterministic():
-    rng = np.random.default_rng(0)
-    counts = rng.integers(0, 50, size=(4, 4))
-
-    def std_err(seed):
-        joint = JointCountHistogram(int(counts.sum()), counts, meta={"seed": seed})
-        return nrf_from_joint(joint).std_err
-
-    assert std_err(99) == std_err(99)
-    assert std_err(99) != std_err(100)
-    assert std_err(101) > 0
+@pytest.mark.parametrize("estimator", [nrf_from_joint, g2_cross_from_joint])
+def test_estimates_do_not_depend_on_the_meta_seed(estimator):
+    counts = np.random.default_rng(0).integers(0, 50, size=(4, 4))
+    trials = int(counts.sum())
+    base = estimator(JointCountHistogram(trials, counts))
+    assert base.std_err > 0
+    for meta in ({"seed": 99}, {"seed": 100}, {"seed": "x"}):
+        assert estimator(JointCountHistogram(trials, counts, meta=meta)) == base
 
 
 def _loop_bootstrap(joint, stat, n_boot, seed):
-    """Reference: one replicate at a time, skipping undefined ones."""
+    """Reference: one multinomial replicate at a time, skipping undefined ones."""
     flat = joint.counts.ravel()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = rng.multinomial(joint.trials, flat / flat.sum(), size=n_boot)
-    vals = [stat(row.reshape(joint.counts.shape), joint.trials) for row in draws]
+    vals = (
+        stat(rng.multinomial(joint.trials, flat / flat.sum()).reshape(joint.counts.shape),
+             joint.trials)
+        for _ in range(n_boot)
+    )
     return np.array([v for v in vals if v is not None])
 
 
@@ -201,26 +202,29 @@ def _loop_nrf(counts, trials):
     return var / mean_sum
 
 
+N_ORACLE = 2000
+
+
 @pytest.mark.parametrize(
-    "counts",
-    [
-        np.random.default_rng(3).integers(0, 40, size=(6, 5)),
-        # sparse: many replicates draw no counts in one arm or in both
-        np.array([[57, 1, 0], [1, 1, 0]]),
-    ],
+    "n_max, mean, trials", [(3, 1.0, 1 << 19), (60, 6.0, 1 << 18)], ids=["nmax3", "nmax60"]
 )
 @pytest.mark.parametrize(
     "estimator, stat",
     [(nrf_from_joint, _loop_nrf), (g2_cross_from_joint, _loop_cross_g2)],
 )
-def test_vectorised_bootstrap_matches_replicate_loop(counts, estimator, stat):
-    joint = JointCountHistogram(int(counts.sum()), counts, meta={"seed": 7})
+def test_propagated_error_matches_bootstrap_oracle(n_max, mean, trials, estimator, stat):
+    det = DetectorParams(eta=0.163, p_xt=0.28, n_max=n_max)
+    probs = joint_photocount(pmf_thermal(mean), det, det).probs
+    rng = np.random.default_rng(5)
+    counts = rng.multinomial(trials, (probs / probs.sum()).ravel()).reshape(probs.shape)
+    joint = JointCountHistogram(trials, counts)
     est = estimator(joint)
-    reps = _loop_bootstrap(joint, stat, N_BOOTSTRAP, 7)
-    if counts[0, 0] == 57:
-        assert 1 < reps.size < N_BOOTSTRAP  # undefined replicates were dropped
-    assert est.value == pytest.approx(stat(counts, joint.trials), rel=1e-12)
-    assert est.std_err == pytest.approx(reps.std(ddof=1), rel=1e-12)
+    reps = _loop_bootstrap(joint, stat, N_ORACLE, 7)
+    assert reps.size == N_ORACLE
+    assert est.value == pytest.approx(stat(counts, trials), rel=1e-12)
+    # the sample standard deviation of n Gaussian replicates has relative
+    # sampling error 1/sqrt(2(n-1)); allow 5 of those
+    assert est.std_err == pytest.approx(reps.std(ddof=1), rel=5 / math.sqrt(2 * (N_ORACLE - 1)))
 
 
 def test_subtract_dark_identity_and_fixture():

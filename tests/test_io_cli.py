@@ -139,6 +139,30 @@ def test_povm_csv_bad_input_is_schema_error_naming_the_file(tmp_path, text, mess
         mio.read_povm_csv(path)
 
 
+G2_CSV = "mean_counts_per_pulse,g2,g2_err\n"
+NRF_CSV = "mean_photons,nrf,nrf_err\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (mio.read_g2_sweep, G2_CSV + "0.5,x,0.1\n", "could not convert"),
+        (mio.read_nrf_sweep, NRF_CSV + "0.5,1.2,abc\n", "could not convert"),
+        (mio.read_nrf_sweep, NRF_CSV + "0.5,nan,0.1\n", "finite"),
+        (mio.read_nrf_sweep, NRF_CSV + "0.5,1.2,inf\n", "finite"),
+        (mio.read_histogram, '{"schema": "mppc-hist/1", trials: 1}', "not a JSON document"),
+        (mio.read_joint_histogram, "", "not a JSON document"),
+    ],
+    ids=["g2-non-numeric", "nrf-non-numeric", "nrf-nan", "nrf-inf", "hist-bad-json",
+         "joint-empty"],
+)
+def test_reader_bad_input_is_schema_error_naming_the_file(tmp_path, reader, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(mio.SchemaError, match=f"^{re.escape(str(path))}: .*{message}"):
+        reader(path)
+
+
 def test_atomic_write_leaves_no_droppings(tmp_path):
     path = tmp_path / "x.txt"
     mio.atomic_write_text(path, "hello")
@@ -446,6 +470,7 @@ def test_cli_nrf(tmp_path, capsys):
         (["--eta", "1.5"], "--eta"),
         (["--xt", "1"], "--xt"),
         (["--eta", "0.5", "--xt", "-0.2"], "--xt"),
+        (["--eta", "0.5"], "--xt"),
     ],
 )
 def test_cli_nrf_rejects_bad_eta_and_xt(tmp_path, capsys, flags, message):
