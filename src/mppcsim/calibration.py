@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .crosstalk import P_CAP, P_WARN, coefficient_a, coefficient_b
+from . import montecarlo
+from .crosstalk import P_CAP, P_WARN, coefficient_a, coefficient_b, measured_g2
 from .detector import DetectorParams
 from .errors import (
     BoundaryFitWarning,
@@ -72,11 +73,9 @@ def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
         raise ValueError("g0 must be finite and non-negative")
     y = sweep.g2
     w = 1.0 / sweep.g2_err**2
-    inv_n = 1.0 / sweep.n_total
 
     def chi2(p: float) -> float:
-        model = coefficient_a(p) * g0 + coefficient_b(p) * inv_n
-        r = y - model
+        r = y - measured_g2(p, g0, sweep.n_total)
         return float(w @ (r * r))
 
     # coarse scan brackets the minimum; bounded Brent refines it
@@ -109,8 +108,7 @@ def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
             stacklevel=2,
         )
 
-    model = coefficient_a(p_hat) * g0 + coefficient_b(p_hat) * inv_n
-    residuals = y - model
+    residuals = y - measured_g2(p_hat, g0, sweep.n_total)
     ss_res = float(residuals @ residuals)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot > 0:
@@ -203,16 +201,14 @@ def compare_methods(
     and a coherent sweep totalling ``sweep_trials`` pulses, runs both
     estimators, and the spread (sample standard deviation) of each
     estimate across replicates is reported. The sweep is a fixed 10-point
-    grid, geometric from 0.1 to 2.0 mean counts per pulse, and every run
-    uses the ``cascade`` crosstalk law.
+    grid, geometric from 0.1 to 2.0 mean counts per pulse (photon means
+    counts (1 - p)/eta), and every run uses the ``cascade`` crosstalk law.
     """
-    from . import montecarlo
-
     if replicates < 2:
         raise ValueError("need at least 2 replicates to measure spread")
     counts = np.geomspace(0.1, 2.0, 10)  # the sweep's mean counts per pulse
     per_point = max(sweep_trials // counts.size, 1)
-    grid = counts / (eta * (1.0 + p_truth))
+    grid = counts * (1.0 - p_truth) / eta
 
     p_fit = np.empty(replicates)
     p_dc = np.empty(replicates)

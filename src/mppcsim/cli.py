@@ -16,6 +16,7 @@ import numpy as np
 
 from . import io
 from .calibration import fit_crosstalk
+from .crosstalk import measured_g2
 from .detector import DetectorParams, channel_matrix, nrf_limit_coherent, nrf_limit_sv
 from .errors import UndefinedStatisticError
 from .estimators import (
@@ -228,10 +229,8 @@ def _cmd_calibrate(args) -> int:
         io.write_calibration_result(args.out, result)
     if args.curve:
         grid = np.geomspace(sweep.n_total.min(), sweep.n_total.max(), 100)
-        model = result.a_coef * args.g0 + result.b_coef / grid
-        lines = ["mean_counts_per_pulse,g2_fit"]
-        lines.extend(f"{x!r},{y!r}" for x, y in zip(grid.tolist(), model.tolist()))
-        io.atomic_write_text(args.curve, "\n".join(lines) + "\n")
+        model = measured_g2(result.p_hat, args.g0, grid)
+        io._write_rows(args.curve, "mean_counts_per_pulse,g2_fit", zip(grid, model))
     return 0
 
 

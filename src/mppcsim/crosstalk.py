@@ -16,6 +16,8 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CrosstalkRangeWarning
 from .histograms import CountHistogram
 
@@ -111,9 +113,10 @@ def coefficient_b(p: float) -> float:
     return 2.0 * p * (1.0 + 3.0 * p) / (1.0 + p + 2.0 * p**2)
 
 
-def measured_g2(p: float, g0: float, n_total_per_pulse: float) -> float:
-    """Crosstalk-distorted g2: A(p) g0 + B(p)/n_total_per_pulse."""
-    if n_total_per_pulse <= 0:
+def measured_g2(p: float, g0: float, n_total_per_pulse):
+    """Crosstalk-distorted g2: A(p) g0 + B(p)/n_total_per_pulse, at one
+    rate or elementwise over an array of rates."""
+    if (np.asarray(n_total_per_pulse) <= 0).any():
         raise ValueError("n_total_per_pulse must be positive")
     return coefficient_a(p) * g0 + coefficient_b(p) / n_total_per_pulse
 

@@ -33,6 +33,20 @@ class EstimateWithError:
             raise ValueError("std_err must be non-negative")
 
 
+def _g2(counts: np.ndarray, trials: float):
+    """g2 of one count vector and its gradient in the bin values.
+
+    ``trials`` 1 takes ``counts`` as a probability vector.
+    """
+    k = np.arange(counts.size, dtype=float)
+    pairs = k * (k - 1.0) / 2.0
+    s = float(pairs @ counts)
+    d = float(k @ counts)
+    if d <= 0:
+        raise UndefinedStatisticError("g2 undefined: zero mean")
+    return 2.0 * trials * s / d**2, 2.0 * trials * (pairs / d**2 - 2.0 * k * s / d**3)
+
+
 def g2_from_histogram(hist: CountHistogram) -> EstimateWithError:
     """Zero-delay g2 from a single-detector histogram.
 
@@ -41,23 +55,14 @@ def g2_from_histogram(hist: CountHistogram) -> EstimateWithError:
     light gives exactly 1. The error propagates independent Poisson
     fluctuations of each bin.
     """
-    counts = hist.counts
-    t = float(hist.trials)
-    k = np.arange(counts.size, dtype=float)
-    pairs = k * (k - 1.0) / 2.0
-    s = float(pairs @ counts)
-    d = float(k @ counts)
-    if d <= 0:
-        raise UndefinedStatisticError("g2 undefined: no recorded counts")
-    value = 2.0 * t * s / d**2
-    grad = 2.0 * t * (pairs / d**2 - 2.0 * k * s / d**3)
-    var = float(grad**2 @ np.maximum(counts, 0.0))
+    value, grad = _g2(hist.counts, float(hist.trials))
+    var = float(grad**2 @ np.maximum(hist.counts, 0.0))
     return EstimateWithError(value, float(np.sqrt(var)), "propagation")
 
 
 def mean_counts_per_pulse(hist: CountHistogram) -> float:
     """Mean recorded photocounts per pulse, sum(k N_k)/T."""
-    return hist.total_counts / hist.trials
+    return float(np.arange(hist.counts.size) @ hist.counts) / hist.trials
 
 
 def _sweep_point(hist: CountHistogram) -> tuple[float, float, float]:
@@ -81,14 +86,12 @@ def _propagated(joint: JointCountHistogram, value: float, grad: np.ndarray) -> E
 
 def g2_cross_from_joint(joint: JointCountHistogram) -> EstimateWithError:
     """Two-detector correlation <N_s N_i>/(<N_s><N_i>) with propagated error."""
-    table, trials = joint.counts, joint.trials
-    n_s = np.arange(table.shape[0], dtype=float)
-    n_i = np.arange(table.shape[1], dtype=float)
-    mean_s = table.sum(axis=1) @ n_s / trials
-    mean_i = table.sum(axis=0) @ n_i / trials
+    mean_s, mean_i = joint.mean_counts
     if mean_s <= 0 or mean_i <= 0:
         raise UndefinedStatisticError("cross g2 undefined: zero marginal mean")
-    mean_si = n_s @ table @ n_i / trials
+    n_s = np.arange(joint.counts.shape[0], dtype=float)
+    n_i = np.arange(joint.counts.shape[1], dtype=float)
+    mean_si = n_s @ joint.counts @ n_i / joint.trials
     value = float(mean_si / (mean_s * mean_i))
     u_s, u_i = n_s / mean_s, n_i / mean_i
     return _propagated(joint, value, np.outer(u_s, u_i) - value * np.add.outer(u_s, u_i))

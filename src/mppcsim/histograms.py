@@ -45,11 +45,6 @@ class CountHistogram:
     def __post_init__(self):
         object.__setattr__(self, "counts", _checked_counts(self.trials, self.counts, 1))
 
-    @property
-    def total_counts(self) -> float:
-        """Total recorded photocounts, sum(k * N_k)."""
-        return float(np.arange(self.counts.size) @ self.counts)
-
 
 @dataclass(frozen=True)
 class JointCountHistogram:

@@ -1,7 +1,8 @@
 """On-disk formats: schema-tagged JSON for histograms, CSV for sweeps and
 the response matrices of ``channel_matrix``. Histogram and sweep files
 round-trip exactly; response matrices are exported with 12 significant
-digits. All writes are atomic (temp file plus rename)."""
+digits. Every CSV reader goes through one parser, ``_read_csv``. All
+writes are atomic (temp file plus rename)."""
 from __future__ import annotations
 
 import contextlib
@@ -10,7 +11,6 @@ import os
 
 import numpy as np
 
-from .calibration import CalibrationResult
 from .histograms import CountHistogram, JointCountHistogram, SweepSeries
 
 SCHEMA_HIST = "mppc-hist/1"
@@ -51,19 +51,6 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _jsonable_meta(meta: dict) -> dict:
-    out = {}
-    for key, val in meta.items():
-        if isinstance(val, (np.integer,)):
-            val = int(val)
-        elif isinstance(val, (np.floating,)):
-            val = float(val)
-        elif isinstance(val, np.ndarray):
-            val = val.tolist()
-        out[str(key)] = val
-    return out
-
-
 def _write_counts_doc(path, schema: str, hist) -> None:
     rounded = np.rint(hist.counts)
     if np.any(np.abs(hist.counts - rounded) > 1e-9):
@@ -72,9 +59,10 @@ def _write_counts_doc(path, schema: str, hist) -> None:
         "schema": schema,
         "trials": int(hist.trials),
         "counts": rounded.astype(np.int64).tolist(),
-        "meta": _jsonable_meta(hist.meta),
+        "meta": hist.meta,
     }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    # numpy scalars and arrays in the metadata are written as their plain values
+    atomic_write_text(path, json.dumps(doc, indent=1, default=lambda v: v.tolist()) + "\n")
 
 
 def write_histogram(path, hist: CountHistogram) -> None:
@@ -128,26 +116,31 @@ def _write_rows(path, header: str, rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_rows(path, header: str) -> np.ndarray:
+def _read_csv(path, header_ok, expected: str) -> np.ndarray:
+    """Rows under a header that ``header_ok`` accepts, as finite floats sorted
+    by the first column; a header-only file gives an empty 1-d array."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != header:
-        raise SchemaError(f"{path}: expected header {header!r}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise SchemaError(f"{path}: malformed row {ln!r}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
-    data = np.asarray(rows, dtype=float)
+    if not lines or not header_ok(lines[0]):
+        raise SchemaError(f"{path}: expected {expected}")
+    width = lines[0].count(",")
+    if any(ln.count(",") != width for ln in lines[1:]):
+        raise SchemaError(f"{path}: rows must be as wide as the header")
+    if len(lines) == 1:
+        return np.empty(0)  # loadtxt would warn that the input holds no data
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if not np.isfinite(data).all():
         raise SchemaError(f"{path}: entries must be finite")
-    if data.size and np.any(np.diff(data[:, 0]) < 0):
+    if np.any(np.diff(data[:, 0]) < 0):
         raise SchemaError(f"{path}: rows not sorted by first column")
     return data
+
+
+def _read_rows(path, header: str) -> np.ndarray:
+    return _read_csv(path, lambda head: head == header, f"header {header!r}")
 
 
 def write_g2_sweep(path, series: SweepSeries) -> None:
@@ -176,17 +169,10 @@ def write_povm_csv(path, q: np.ndarray) -> None:
 
 
 def read_povm_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("N,"):
-        raise SchemaError(f"{path}: expected a response-matrix header")
-    try:
-        rows = [[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]]
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    if {len(row) for row in rows} != {lines[0].count(",")}:
+    rows = _read_csv(path, lambda head: head.startswith("N,"), "a response-matrix header")
+    if not rows.size:
         raise SchemaError(f"{path}: expected one or more rows as wide as the header")
-    return np.asarray(rows, dtype=float)
+    return rows[:, 1:]
 
 
 def _sig6(value):
@@ -195,8 +181,8 @@ def _sig6(value):
     return float(f"{float(value):.6g}")
 
 
-def calibration_result_doc(result: CalibrationResult) -> dict:
-    """JSON document of a calibration result, decimals at 6 significant digits."""
+def calibration_result_doc(result) -> dict:
+    """JSON document of a ``CalibrationResult``, decimals at 6 significant digits."""
     return {
         "p_hat": _sig6(result.p_hat),
         "p_err": _sig6(result.p_err),
@@ -208,5 +194,5 @@ def calibration_result_doc(result: CalibrationResult) -> dict:
     }
 
 
-def write_calibration_result(path, result: CalibrationResult) -> None:
+def write_calibration_result(path, result) -> None:
     atomic_write_text(path, json.dumps(calibration_result_doc(result), indent=1) + "\n")

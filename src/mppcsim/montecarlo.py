@@ -76,7 +76,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.trials < 1 or int(self.trials) != self.trials:
             raise ValueError("trials must be a positive integer")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64 or int(self.seed) != self.seed:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.crosstalk_mode not in CROSSTALK_MODES:
             raise ValueError(f"crosstalk_mode must be one of {CROSSTALK_MODES}")

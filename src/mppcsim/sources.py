@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import UndefinedStatisticError
+from .estimators import _g2
 
 TAIL_TARGET = 1e-12
 _NORM_TOL = 1e-12
@@ -218,9 +218,4 @@ def pmf_fock(n: int) -> PhotonNumberDistribution:
 
 def true_g2_of_dist(dist: PhotonNumberDistribution) -> float:
     """Zero-delay second-order correlation <k(k-1)>/<k>^2 by direct summation."""
-    k = np.arange(dist.probs.size, dtype=float)
-    m1 = float(np.sum(k * dist.probs))
-    if m1 <= 0:
-        raise UndefinedStatisticError("g2 undefined for zero-mean distribution")
-    fac2 = float(np.sum(k * (k - 1) * dist.probs))
-    return fac2 / m1**2
+    return _g2(dist.probs, 1)[0]

@@ -147,6 +147,13 @@ def test_measured_g2_values():
     assert measured_g2(0.177, 1.0, 0.5) == pytest.approx(a + b / 0.5, abs=1e-12)
     with pytest.raises(ValueError):
         measured_g2(0.1, 1.0, 0.0)
+    # an array of rates gives the scalar law at each of them
+    n = np.array([0.05, 0.5, 3.0, 40.0])
+    expect = [measured_g2(0.177, 1.3, float(v)) for v in n]
+    assert np.array_equal(measured_g2(0.177, 1.3, n), expect)
+    for bad in ([0.5, 0.0], [-1.0, 0.5]):
+        with pytest.raises(ValueError):
+            measured_g2(0.1, 1.0, np.array(bad))
 
 
 def test_invert_g2_round_trip():

@@ -163,6 +163,32 @@ def test_reader_bad_input_is_schema_error_naming_the_file(tmp_path, reader, text
         reader(path)
 
 
+def test_header_only_csv_files_read_without_warnings(tmp_path):
+    g2, nrf, povm = (tmp_path / name for name in ("g2.csv", "nrf.csv", "q.csv"))
+    g2.write_text(G2_CSV)
+    nrf.write_text(NRF_CSV)
+    povm.write_text("N,0,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="points must be rows"):
+            mio.read_g2_sweep(g2)
+        rows = mio.read_nrf_sweep(nrf)
+        with pytest.raises(mio.SchemaError, match="as wide as the header"):
+            mio.read_povm_csv(povm)
+    assert rows.shape == (0,)
+
+
+def test_numpy_meta_writes_the_json_of_plain_values(tmp_path):
+    numpy_meta = {"n": np.int64(7), "u": np.uint8(3), "x": np.float64(0.1),
+                  "y": np.float32(0.25), "flag": np.bool_(True),
+                  "bins": np.array([1, 2]), "grid": np.array([0.5, 1.5])}
+    plain_meta = {"n": 7, "u": 3, "x": 0.1, "y": 0.25, "flag": True,
+                  "bins": [1, 2], "grid": [0.5, 1.5]}
+    for name, meta in (("numpy", numpy_meta), ("plain", plain_meta)):
+        mio.write_histogram(tmp_path / f"{name}.json", CountHistogram(3, [2, 1], meta))
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 def test_atomic_write_leaves_no_droppings(tmp_path):
     path = tmp_path / "x.txt"
     mio.atomic_write_text(path, "hello")

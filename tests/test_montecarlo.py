@@ -51,6 +51,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         single_cfg(seed=-1)
     with pytest.raises(ValueError):
+        single_cfg(seed=1.5)
+    with pytest.raises(ValueError):
         single_cfg(crosstalk_mode="other")
     with pytest.raises(ValueError):
         SimulationConfig(

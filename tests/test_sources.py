@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mppcsim import (
+    CountHistogram,
     PhotonNumberDistribution,
     SourceSpec,
     UndefinedStatisticError,
+    g2_from_histogram,
     pmf_coherent,
     pmf_even_poisson,
     pmf_fock,
@@ -166,6 +168,13 @@ def mass_beyond(spec, k_max):
         return (stats.poisson.pmf(k, m) * (1 + (-1.0) ** k)).sum() / (1 + math.exp(-2 * m))
     r = spec.modes if spec.kind == "twin_multimode" else 1.0
     return stats.nbinom.pmf(k, r, 1 / (1 + m / r)).sum()
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_true_g2_is_the_histogram_estimator_on_the_law(kind):
+    # a probability vector is the histogram of one trial
+    dist = SourceSpec(kind, mean=2.5, modes=3.0, fock_n=4).distribution()
+    assert true_g2_of_dist(dist) == g2_from_histogram(CountHistogram(1, dist.probs)).value
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
