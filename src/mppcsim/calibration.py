@@ -1,10 +1,10 @@
 """Crosstalk-probability calibration.
 
 Two routes: a weighted least-squares fit of the measured-g2 law to a
-coherent-light sweep (single fit parameter, bracketed bounded Brent
-search), and the classic dark-noise baseline that compares the observed
-single-avalanche rate against the Poisson expectation inferred from the
-crosstalk-immune zero bin.
+coherent-light sweep (single fit parameter, solved exactly at the
+stationary points of chi^2), and the classic dark-noise baseline that
+compares the observed single-avalanche rate against the Poisson
+expectation inferred from the crosstalk-immune zero bin.
 """
 from __future__ import annotations
 
@@ -13,30 +13,25 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from numpy.polynomial import Polynomial
 
 from . import montecarlo
-from .crosstalk import P_CAP, P_WARN, coefficient_a, coefficient_b, measured_g2
+from .crosstalk import LAW_A, LAW_B, LAW_D, P_CAP, P_WARN, coefficient_a, coefficient_b, measured_g2
 from .detector import DetectorParams
-from .errors import (
-    BoundaryFitWarning,
-    CrosstalkRangeWarning,
-    UndefinedStatisticError,
-)
+from .errors import BoundaryFitWarning, CrosstalkRangeWarning, UndefinedStatisticError
 from .histograms import CountHistogram, SweepSeries
 from .sources import SourceSpec
-
-FIT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
     """Fitted crosstalk probability with uncertainty and fit diagnostics.
 
-    ``cod`` is the coefficient of determination of the g2 fit (None for
-    the dark-noise method, which has no regression residuals);
-    ``p_plus_2p2`` is the combination conventionally quoted when
-    comparing against dark-noise calibrations.
+    ``cod`` is the coefficient of determination of the g2 fit, and ``chi2``
+    its error-weighted sum of squared residuals for ``dof`` degrees of
+    freedom (all three None for the dark-noise method, which has no
+    regression residuals); ``p_plus_2p2`` is the combination
+    conventionally quoted when comparing against dark-noise calibrations.
     """
 
     p_hat: float
@@ -46,6 +41,8 @@ class CalibrationResult:
     method: str
     cod: float | None = None
     residuals: tuple = ()
+    chi2: float | None = None
+    dof: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p_hat <= P_CAP:
@@ -63,39 +60,38 @@ class CalibrationResult:
 def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
     """Fit the crosstalk probability to a g2-versus-mean-counts sweep.
 
-    Minimizes the error-weighted squared residuals of
-    g2_i = A(p) g0 + B(p)/n_i over p in [0, 0.6] by a coarse bracket plus
-    bounded Brent refinement; the uncertainty follows from the curvature
-    of the weighted objective at the minimum (unit chi-square increase).
+    Minimizes chi^2, the error-weighted squared residuals of
+    g2_i = A(p) g0 + B(p)/n_i, over p in [0, 0.6]. With D = 1 + p + 2p^2,
+    chi^2 = P/D^4 where P = sum w_i R_i^2 and R_i = (g2_i - A g0 - B/n_i) D^2
+    is a quartic; chi^2' = Q/D^5 with Q = P'D - 4PD'. The fit is the lowest
+    chi^2 among the two ends and the roots of Q between them, and its
+    uncertainty follows from the exact curvature there,
+    chi^2'' = (Q'D - 5QD')/D^6, at a unit chi-square increase.
     """
     # the chained comparison is false for NaN, and the upper bound rejects inf
     if not 0.0 <= g0 < math.inf:
         raise ValueError("g0 must be finite and non-negative")
-    y = sweep.g2
-    w = 1.0 / sweep.g2_err**2
+    y, n, w = sweep.g2, sweep.n_total, 1.0 / sweep.g2_err**2
+    d = Polynomial(LAW_D)
+    # row i holds the five coefficients of R_i, lowest power first (A D^2 = LAW_A)
+    r = (np.outer(y, (d * d).coef) - g0 * np.pad(LAW_A, (0, 2))
+         - np.outer(1.0 / n, (Polynomial(LAW_B) * d).coef))
+    # P's coefficient of p^k sums the weighted products R_i[a] R_i[b], a + b = k
+    k = np.add.outer(np.arange(5), np.arange(5))
+    p8 = Polynomial(np.bincount(k.ravel(), ((r.T * w) @ r).ravel()))
+    q = p8.deriv() * d - 4 * p8 * d.deriv()
 
-    def chi2(p: float) -> float:
-        r = y - measured_g2(p, g0, sweep.n_total)
-        return float(w @ (r * r))
+    # expanding P cancels digits near the minimum, so chi^2 is compared from
+    # the residuals; the real parts of complex roots are extra candidates
+    # that cannot beat the lowest stationary point or end
+    cap = float(P_CAP)
+    roots = q.roots().real
+    candidates = [0.0, cap, *roots[(roots > 0) & (roots < cap)]]
+    p_hat = float(min(candidates, key=lambda c: w @ (y - measured_g2(c, g0, n)) ** 2))
+    curv = (q.deriv() * d - 5 * q * d.deriv())(p_hat) / d(p_hat) ** 6
+    p_err = math.sqrt(2.0 / curv) if curv > 0 else math.inf
 
-    # coarse scan brackets the minimum; bounded Brent refines it
-    grid = np.linspace(0.0, float(P_CAP), 61)
-    vals = np.array([chi2(p) for p in grid])
-    i0 = int(np.argmin(vals))
-    lo = grid[max(i0 - 1, 0)]
-    hi = grid[min(i0 + 1, grid.size - 1)]
-    p_hat = float(
-        minimize_scalar(
-            chi2, bounds=(lo, hi), method="bounded", options={"xatol": FIT_TOL}
-        ).x
-    )
-
-    h = 1e-4
-    center = min(max(p_hat, h), P_CAP - h)
-    curv = (chi2(center + h) - 2.0 * chi2(center) + chi2(center - h)) / h**2
-    p_err = math.sqrt(2.0 / curv) if curv > 0 else float("inf")
-
-    if p_hat < 10 * FIT_TOL or p_hat > P_CAP - 10 * FIT_TOL:
+    if p_hat in (0.0, cap):
         warnings.warn(
             f"fitted p = {p_hat:.3g} sits on the allowed boundary",
             BoundaryFitWarning,
@@ -108,7 +104,7 @@ def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
             stacklevel=2,
         )
 
-    residuals = y - measured_g2(p_hat, g0, sweep.n_total)
+    residuals = y - measured_g2(p_hat, g0, n)
     ss_res = float(residuals @ residuals)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot > 0:
@@ -125,6 +121,8 @@ def fit_crosstalk(sweep: SweepSeries, g0: float = 1.0) -> CalibrationResult:
         method="g2_fit",
         cod=cod,
         residuals=tuple(float(r) for r in residuals),
+        chi2=float(w @ residuals**2),
+        dof=len(y) - 1,
     )
 
 

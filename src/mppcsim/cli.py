@@ -8,6 +8,7 @@ seed of commands that draw randomness; an explicit --seed always wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -50,6 +51,7 @@ def _default_seed() -> int:
         raise CliError(f"MPPC_SEED must be an integer, got {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mppc",
@@ -59,11 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a seeded acquisition simulation")
-    sim.add_argument(
-        "--source",
-        required=True,
-        choices=sorted(kind.replace("_", "-") for kind in SOURCE_KINDS),
-    )
+    sources = sorted(kind.replace("_", "-") for kind in SOURCE_KINDS)
+    sim.add_argument("--source", required=True, choices=sources)
     sim.add_argument("--mean", type=float, default=None)
     sim.add_argument("--modes", type=float, default=None)
     sim.add_argument("--fock-n", type=int, default=None)
@@ -81,27 +80,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dark2", type=float, default=None)
     sim.add_argument("--out", required=True)
     sim.add_argument("--events", default=None, help="stream per-pulse counts to CSV")
-    sim.add_argument("--quiet", action="store_true")
 
     g2p = sub.add_parser("g2", help="estimate g2 from a histogram file")
     g2p.add_argument("histogram")
     g2p.add_argument("--dark", default=None, help="dark histogram to subtract")
     g2p.add_argument("--json", default=None, help="also write the result as JSON")
-    g2p.add_argument("--quiet", action="store_true")
 
     cal = sub.add_parser("calibrate", help="fit the crosstalk probability")
     cal.add_argument("inputs", nargs="+", help="a sweep CSV or >=3 histogram files")
     cal.add_argument("--g0", type=float, default=1.0)
     cal.add_argument("--out", default=None, help="write the result JSON here")
     cal.add_argument("--curve", default=None, help="write the fitted curve CSV here")
-    cal.add_argument("--quiet", action="store_true")
 
     nrf = sub.add_parser("nrf", help="noise reduction factor from joint histograms")
     nrf.add_argument("inputs", nargs="+")
     nrf.add_argument("--eta", type=float, default=None)
     nrf.add_argument("--xt", type=float, default=None)
     nrf.add_argument("--out", required=True)
-    nrf.add_argument("--quiet", action="store_true")
 
     pov = sub.add_parser("povm", help="export the detector response matrix")
     pov.add_argument("--eta", type=float, required=True)
@@ -109,23 +104,20 @@ def _build_parser() -> argparse.ArgumentParser:
     pov.add_argument("--nmax", type=int, required=True)
     pov.add_argument("--kmax", type=int, required=True)
     pov.add_argument("--out", required=True)
-    pov.add_argument("--quiet", action="store_true")
 
     rep = sub.add_parser("reproduce", help="run a canned study scenario")
     rep.add_argument("--figure", required=True, choices=FIGURES)
     rep.add_argument("--out", required=True)
     rep.add_argument("--seed", type=int, default=None)
     rep.add_argument("--pulses-per-point", type=int, default=200_000)
-    rep.add_argument("--quiet", action="store_true")
+    for command in (sim, g2p, cal, nrf, pov, rep):
+        command.add_argument("--quiet", action="store_true")
 
     return parser
 
 
 def _detector_from_flags(args, preset, arm: str) -> DetectorParams:
-    if preset is not None:
-        p_preset, dark_preset, pixels = PRESETS[preset]
-    else:
-        p_preset, dark_preset, pixels = 0.0, 0.0, 400
+    p_preset, dark_preset, pixels = PRESETS[preset] if preset is not None else (0.0, 0.0, 400)
 
     def pick(primary, secondary, fallback):
         if arm == "i" and secondary is not None:
@@ -138,9 +130,7 @@ def _detector_from_flags(args, preset, arm: str) -> DetectorParams:
     p_xt = pick(args.xt, args.xt2, p_preset)
     n_max = pick(args.nmax, args.nmax2, pixels)
     dark = pick(args.dark, args.dark2, dark_preset)
-    return DetectorParams(
-        eta=eta, p_xt=p_xt, n_max=n_max, dark_mean=dark, pixel_count=pixels
-    )
+    return DetectorParams(eta=eta, p_xt=p_xt, n_max=n_max, dark_mean=dark, pixel_count=pixels)
 
 
 def _source_from_flags(args) -> SourceSpec:
@@ -190,10 +180,7 @@ def _cmd_simulate(args) -> int:
     io.write_joint_histogram(args.out, joint)
     if not args.quiet:
         mean_s, mean_i = joint.mean_counts
-        print(
-            f"mean_counts_per_pulse_s={mean_s:.6g} "
-            f"mean_counts_per_pulse_i={mean_i:.6g}"
-        )
+        print(f"mean_counts_per_pulse_s={mean_s:.6g} mean_counts_per_pulse_i={mean_i:.6g}")
     return 0
 
 
@@ -216,14 +203,19 @@ def _load_sweep(paths) -> SweepSeries:
         return io.read_g2_sweep(paths[0])
     if len(paths) < 3:
         raise CliError("calibration needs a sweep CSV or at least 3 histogram files")
-    return SweepSeries(np.asarray([_sweep_point(io.read_histogram(path)) for path in paths]))
+    points = [_sweep_point(io.read_histogram(path)) for path in paths]
+    for path, (_, g2, err) in zip(paths, points):
+        if not err > 0:  # name the file before SweepSeries rejects its row
+            raise CliError(f"{path}: g2={g2:g} err={err:g}; g2 errors must be strictly positive")
+    return SweepSeries(np.asarray(points))
 
 
 def _cmd_calibrate(args) -> int:
     sweep = _load_sweep(args.inputs)
     result = fit_crosstalk(sweep, g0=args.g0)
     if not args.quiet:
-        print(f"p={result.p_hat:.6f} ± {result.p_err:.3g} COD={result.cod:.4f}")
+        print(f"p={result.p_hat:.6f} ± {result.p_err:.3g} COD={result.cod:.4f} "
+              f"chi2/dof={result.chi2:.4g}/{result.dof}")
         print(f"p+2p^2={result.p_plus_2p2:.6f}")
     if args.out:
         io.write_calibration_result(args.out, result)

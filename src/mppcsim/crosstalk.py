@@ -26,6 +26,10 @@ from .histograms import CountHistogram
 P_CAP = Fraction(6, 10)
 P_WARN = Fraction(3, 10)
 
+# the g2 law's polynomials in p, lowest power first: counts grow by the factor
+# D = 1 + p + 2p^2, and g2 reads A g0 + B/n with A = LAW_A/D^2, B = LAW_B/D
+LAW_D, LAW_A, LAW_B = (1, 1, 2), (1, 2, 4), (0, 2, 6)
+
 
 def _as_fraction(p) -> Fraction:
     if isinstance(p, Fraction):
@@ -33,6 +37,11 @@ def _as_fraction(p) -> Fraction:
     if isinstance(p, str):
         return Fraction(p)
     return Fraction(float(p))
+
+
+def _poly(coefs, p):
+    """``coefs`` (lowest power first) at p, term by term; exact for a Fraction."""
+    return sum(c * p**k for k, c in enumerate(coefs))
 
 
 def _check_p(p: Fraction, context: str, warn: bool = True) -> None:
@@ -89,28 +98,28 @@ def expected_coincidences(hist: CountHistogram, p) -> float:
     pf = _as_fraction(p)
     _check_p(pf, "coincidence aggregate")
     s, d = _pair_and_count_sums(hist)
-    return float((1 + 2 * pf + 4 * pf * pf) * s + pf * (1 + 3 * pf) * d)
+    return float(_poly(LAW_A, pf) * s + _poly(LAW_B, pf) / 2 * d)
 
 
 def expected_total_counts(hist: CountHistogram, p) -> float:
     """Photocount total of the crosstalk-perturbed histogram: (1+p+2p^2) sum k N_k."""
     pf = _as_fraction(p)
     _check_p(pf, "total-count aggregate")
-    return float((1 + pf + 2 * pf * pf) * _pair_and_count_sums(hist)[1])
+    return float(_poly(LAW_D, pf) * _pair_and_count_sums(hist)[1])
 
 
 def coefficient_a(p: float) -> float:
     """Multiplicative distortion of g2: (1+2p+4p^2)/(1+p+2p^2)^2."""
     if not 0.0 <= p <= float(P_CAP):
         raise ValueError(f"p must lie in [0, {float(P_CAP)}]")
-    return (1.0 + 2.0 * p + 4.0 * p**2) / (1.0 + p + 2.0 * p**2) ** 2
+    return _poly(LAW_A, p) / _poly(LAW_D, p) ** 2
 
 
 def coefficient_b(p: float) -> float:
     """Additive distortion of g2 per inverse count rate: 2p(1+3p)/(1+p+2p^2)."""
     if not 0.0 <= p <= float(P_CAP):
         raise ValueError(f"p must lie in [0, {float(P_CAP)}]")
-    return 2.0 * p * (1.0 + 3.0 * p) / (1.0 + p + 2.0 * p**2)
+    return _poly(LAW_B, p) / _poly(LAW_D, p)
 
 
 def measured_g2(p: float, g0: float, n_total_per_pulse):

@@ -89,8 +89,9 @@ class SweepSeries:
         pts = pts[np.argsort(pts[:, 0], kind="stable")]
         if np.any(pts[:, 0] <= 0):
             raise ValueError("n_total values must be strictly positive")
-        if np.any(pts[:, 2] <= 0):
-            raise ValueError("g2 errors must be strictly positive")
+        if (bad := pts[pts[:, 2] <= 0]).size:
+            raise ValueError(f"g2 errors must be strictly positive, got {bad[0, 2]:g} "
+                             f"at n_total {bad[0, 0]:.6g}")
         if np.ptp(pts[:, 0]) == 0:
             raise IllConditionedFitError("all sweep points share one n_total")
         object.__setattr__(self, "points", pts)

@@ -183,15 +183,10 @@ def _sig6(value):
 
 def calibration_result_doc(result) -> dict:
     """JSON document of a ``CalibrationResult``, decimals at 6 significant digits."""
-    return {
-        "p_hat": _sig6(result.p_hat),
-        "p_err": _sig6(result.p_err),
-        "a_coef": _sig6(result.a_coef),
-        "b_coef": _sig6(result.b_coef),
-        "cod": _sig6(result.cod),
-        "residuals": [_sig6(r) for r in result.residuals],
-        "method": result.method,
-    }
+    doc = {key: _sig6(getattr(result, key))
+           for key in ("p_hat", "p_err", "a_coef", "b_coef", "cod", "chi2")}
+    return {**doc, "dof": result.dof, "residuals": [_sig6(r) for r in result.residuals],
+            "method": result.method}
 
 
 def write_calibration_result(path, result) -> None:

@@ -10,7 +10,6 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import io
 from .calibration import fit_crosstalk
@@ -31,9 +30,13 @@ PRESETS = {
 
 
 def _solve_even_weight(target_mean: float) -> float:
-    """Weight parameter of the even-only source whose mean is target_mean."""
-    hi = max(4.0 * target_mean + 5.0, 5.0)
-    return brentq(lambda m: m * math.tanh(m) - target_mean, 1e-9, hi, xtol=1e-15)
+    """Weight m of the even-only source whose mean m tanh(m) is target_mean,
+    by Newton steps from max(sqrt(target), target)."""
+    m = max(math.sqrt(target_mean), target_mean)
+    for _ in range(6):
+        th = math.tanh(m)
+        m -= (m * th - target_mean) / (th + m * (1.0 - th * th))
+    return m
 
 
 def _check(lines, name: str, passed: bool, detail: str) -> None:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ def test_fit_degenerate_sweep_rejected():
             fit_crosstalk(synthetic_sweep(0.1), g0=g0)
 
 
+def test_zero_error_point_names_its_n_total():
+    points = synthetic_sweep(0.1).points.copy()
+    points[4, 2] = 0.0
+    with pytest.raises(ValueError, match=f"strictly positive, got 0 at n_total {points[4, 0]:.6g}"):
+        SweepSeries(points)
+
+
 def test_cod_matches_recomputation():
     rng = np.random.default_rng(2)
     n = np.geomspace(0.05, 2.0, 12)
@@ -102,6 +110,117 @@ def test_objective_is_unimodal_on_test_sweeps():
         )
         sign_changes = np.sum(np.diff(np.sign(np.diff(chi))) != 0)
         assert sign_changes <= 1
+
+
+def random_sweep(rng):
+    """A noisy sweep: 3-14 points, p 0-0.55, g0 0.5-2.5, rates 0.05-20,
+    errors 1e-3-0.1; returns the sweep and its g0."""
+    m = int(rng.integers(3, 15))
+    p, g0 = rng.uniform(0, 0.55), rng.uniform(0.5, 2.5)
+    n = np.exp(rng.uniform(np.log(0.05), np.log(20), m))
+    err = np.exp(rng.uniform(np.log(1e-3), np.log(0.1), m))
+    g2 = measured_g2(p, g0, n) + rng.normal(0, 1, m) * err
+    return SweepSeries(np.column_stack([n, g2, err])), g0
+
+
+def two_minimum_sweep():
+    """p 0.002 at rates 10-20 with errors 1e-4: chi^2 has local minima
+    near 0.002 and 0.129."""
+    rng = np.random.default_rng(0)
+    n = np.linspace(10, 20, 5)
+    g2 = measured_g2(0.002, 1.0, n) + rng.normal(0, 1e-4, 5)
+    return SweepSeries(np.column_stack([n, g2, np.full(5, 1e-4)]))
+
+
+def fit_quietly(series, g0=1.0):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fit_crosstalk(series, g0)
+    return result, any(w.category is BoundaryFitWarning for w in caught)
+
+
+def exact_curvature(series, g0, p):
+    """chi^2''(p) in exact rationals, from second-order jets (value, first
+    and second derivative) of A = (1+2p+4p^2)/D^2 and B = 2p(1+3p)/D."""
+
+    def mul(a, b):
+        return (a[0] * b[0], a[0] * b[1] + a[1] * b[0],
+                a[0] * b[2] + 2 * a[1] * b[1] + a[2] * b[0])
+
+    p, g0 = Fraction(p), Fraction(g0)
+    d0 = 1 + p + 2 * p * p
+    inv_d = (1 / d0, -(1 + 4 * p) / d0**2, (2 * (1 + 4 * p) ** 2 - 4 * d0) / d0**3)
+    a = mul(mul((1 + 2 * p + 4 * p * p, 2 + 8 * p, Fraction(8)), inv_d), inv_d)
+    b = mul((2 * p + 6 * p * p, 2 + 12 * p, Fraction(12)), inv_d)
+    total = Fraction(0)
+    for n, y, e in series.points:
+        r = [-(g0 * ai + bi / Fraction(n)) for ai, bi in zip(a, b)]
+        r[0] += Fraction(y)
+        total += 2 * (r[1] ** 2 + r[0] * r[2]) / Fraction(e) ** 2
+    return total
+
+
+def test_fit_curvature_is_exact():
+    rng = np.random.default_rng(11)
+    interior = 0
+    for _ in range(40):
+        series, g0 = random_sweep(rng)
+        result, on_boundary = fit_quietly(series, g0)
+        if on_boundary:
+            continue
+        interior += 1
+        exact = float(exact_curvature(series, g0, result.p_hat))
+        assert 2.0 / result.p_err**2 == pytest.approx(exact, rel=1e-12)
+    assert interior >= 30
+
+
+def test_boundary_fit_takes_the_curvature_at_the_boundary():
+    n = np.geomspace(0.05, 2.0, 8)
+    cases = [
+        (synthetic_sweep(0.0, err=0.01), 0.0),
+        # a pair excess beyond what any p <= 0.6 explains pins the fit to the cap
+        (SweepSeries(np.column_stack([n, 1.0 + 3.0 / n, np.full(8, 0.01)])), 0.6),
+    ]
+    for series, edge in cases:
+        result, on_boundary = fit_quietly(series)
+        assert on_boundary and result.p_hat == edge
+        exact = float(exact_curvature(series, 1.0, edge))
+        assert 2.0 / result.p_err**2 == pytest.approx(exact, rel=1e-12)
+
+
+def test_fit_finds_the_global_minimum():
+    grid = np.linspace(0.0, 0.6, 10_001)
+    d = 1 + grid + 2 * grid**2
+    a, b = (1 + 2 * grid + 4 * grid**2) / d**2, 2 * grid * (1 + 3 * grid) / d
+    rng = np.random.default_rng(7)
+    cases = [random_sweep(rng) for _ in range(200)] + [(two_minimum_sweep(), 1.0)]
+    for series, g0 in cases:
+        result, _ = fit_quietly(series, g0)
+        w = 1.0 / series.g2_err**2
+        chi2_grid = w @ (series.g2[:, None] - g0 * a - b / series.n_total[:, None]) ** 2
+        assert result.chi2 <= chi2_grid.min() * (1 + 1e-12)
+    # the two-minimum sweep: the fit is the lower minimum, near 0.002
+    result, _ = fit_quietly(two_minimum_sweep())
+    assert abs(result.p_hat - 0.002) < 1e-4
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.177, 0.3, 0.55])
+def test_fit_recovers_noiseless_p_to_rounding(p):
+    result, _ = fit_quietly(synthetic_sweep(p))
+    assert abs(result.p_hat - p) < 1e-12
+
+
+def test_fit_reports_chi2_and_dof():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        series, g0 = random_sweep(rng)
+        result, _ = fit_quietly(series, g0)
+        w = 1.0 / series.g2_err**2
+        r = np.asarray(result.residuals)
+        assert result.chi2 == pytest.approx(float(w @ r**2), rel=1e-12)
+        assert result.dof == len(series.g2) - 1
+    dark = dark_noise_crosstalk(CountHistogram(10_000, np.array([9_000, 900, 100])))
+    assert dark.chi2 is None and dark.dof is None
 
 
 def test_fit_error_tracks_replicate_scatter():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -447,6 +448,48 @@ def test_cli_calibrate_from_histogram_files(tmp_path, capsys):
     assert 0.1 < p_hat < 0.2
 
 
+def test_cli_calibrate_names_the_file_of_a_zero_error_point(tmp_path, capsys):
+    paths = []
+    for mean, trials, seed in ((0.05, 100, 11), (5.0, 20000, 5), (10.0, 20000, 10)):
+        path = str(tmp_path / f"c{mean}.json")
+        assert main(["simulate", "--source", "coherent", "--mean", str(mean), "--eta", "0.2",
+                     "--xt", "0.177", "--nmax", "400", "--trials", str(trials),
+                     "--seed", str(seed), "--out", path, "--quiet"]) == 0
+        paths.append(path)
+    assert main(["g2", paths[0]]) == 0
+    assert "g2=0 err=0" in capsys.readouterr().out
+    assert main(["calibrate", *paths]) == 2
+    err = capsys.readouterr().err
+    assert paths[0] in err and "strictly positive" in err
+
+
+def test_cli_calibrate_reports_chi2_and_dof(tmp_path, capsys):
+    n = np.geomspace(0.01, 2.0, 10)
+    g2 = measured_g2(0.1, 1.0, n) + 1e-4 * np.sin(3 * n)
+    path = tmp_path / "sweep.csv"
+    mio.write_g2_sweep(path, SweepSeries(np.column_stack([n, g2, np.full(10, 1e-4)])))
+    out_json = tmp_path / "fit.json"
+    assert main(["calibrate", str(path), "--out", str(out_json)]) == 0
+    assert re.search(r"COD=\S+ chi2/dof=\S+/9", capsys.readouterr().out)
+    doc = json.loads(out_json.read_text())
+    assert doc["dof"] == 9 and doc["chi2"] > 0
+    assert doc["chi2"] == float(f"{doc['chi2']:.6g}")
+
+
+def test_cli_simulate_bright_coherent_source(tmp_path):
+    out = tmp_path / "h.json"
+    assert main(["simulate", "--source", "coherent", "--mean", "20000", "--eta", "0.2",
+                 "--xt", "0.177", "--nmax", "400", "--trials", "1000",
+                 "--out", str(out), "--quiet"]) == 0
+    assert mio.read_histogram(out).counts.sum() == 1000
+
+
+def test_cli_parser_is_built_once():
+    from mppcsim import cli
+
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_calibrate_needs_three_points(tmp_path, capsys):
     h = tmp_path / "h.json"
     mio.write_histogram(h, CountHistogram(10, np.array([5, 5])))
@@ -598,6 +641,17 @@ def test_reproduce_figure_5_fails_a_boundary_fit(tmp_path, monkeypatch, on_bound
         assert "(on the boundary: mppc-100um)" in text
     else:
         assert "CHECK no_boundary_fit PASS" in text
+
+
+def test_even_weight_solve_matches_brentq():
+    from scipy.optimize import brentq
+
+    from mppcsim.reproduce import _solve_even_weight
+
+    for target in np.geomspace(1e-6, 1e3, 181):
+        oracle = brentq(lambda m: m * math.tanh(m) - target, 1e-12, 2 * target + 5,
+                        xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+        assert _solve_even_weight(target) == pytest.approx(oracle, rel=1e-14)
 
 
 def test_cli_reproduce_unknown_figure(tmp_path, capsys):

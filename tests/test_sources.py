@@ -206,6 +206,22 @@ def test_distribution_invariants_enforced():
         PhotonNumberDistribution(np.array([1.0, 0.0]), tail_bound=np.nan)
 
 
+@pytest.mark.parametrize("mean", [1e4, 1e5, 1e6])
+def test_bright_coherent_pmf_constructs(mean):
+    d = pmf_coherent(mean)
+    assert d.mean == pytest.approx(mean, rel=1e-9)
+
+
+def test_normalization_still_rejects_a_visible_deficit():
+    probs = pmf_coherent(3.0).probs.copy()
+    probs[0] -= 1e-6
+    with pytest.raises(ValueError, match="not normalized"):
+        PhotonNumberDistribution(probs)
+    big = pmf_coherent(1e4)
+    with pytest.raises(ValueError, match="not normalized"):
+        PhotonNumberDistribution(big.probs * (1 - 1e-6), big.tail_bound)
+
+
 def test_source_spec_dispatch():
     spec = SourceSpec("even_poisson", mean=2.0)
     assert spec.distribution().probs[0] == pytest.approx(0.265802, abs=1e-6)
